@@ -8,16 +8,15 @@ the runtime columns.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from statistics import median
 
 from .errors import AggregationError
-from .runner import Measurement, MemoryProbeResult, SuiteResult
-from .scoring import ReferenceProfile, aggregate_score
+from .runner import SuiteResult, load_suites
+from .scoring import ReferenceProfile, score_points
 
 MODIFIED_Z_CUTOFF = 3.5
 MAX_DROP_FRACTION = 0.3
@@ -41,93 +40,27 @@ class RankingRow:
     sample_count: int
 
 
-def _record_from_suite(suite, lineno):
+def _record(suite, index):
     meta = suite.metadata
-    device = (meta.get("device_name") or "").strip()
-    soc = (meta.get("soc_name") or "").strip()
-    if not device:
-        raise AggregationError(
-            f"line {lineno}: header missing device_name", line=lineno,
-            field="device_name",
-        )
-    if not soc:
-        raise AggregationError(
-            f"line {lineno}: header missing soc_name", line=lineno,
-            field="soc_name",
-        )
+    fields = {}
+    for key in ("device_name", "soc_name"):
+        fields[key] = (meta.get(key) or "").strip()
+        if not fields[key]:
+            raise AggregationError(
+                f"suite {index}: header missing {key}", field=key
+            )
     return DeviceRecord(
-        device_name=device,
-        soc_name=soc,
-        ram_gb=meta.get("ram_gb", 0.0),
-        metadata=meta,
-        suite=suite,
+        **fields, ram_gb=meta.get("ram_gb", 0.0), metadata=meta, suite=suite
     )
-
-
-def _build(cls, doc, lineno):
-    allowed = {f.name for f in dc_fields(cls)}
-    for key in doc:
-        if key not in allowed:
-            raise AggregationError(
-                f"line {lineno}: unexpected field {key!r}", line=lineno, field=key
-            )
-    for f in dc_fields(cls):
-        required = (f.default is dataclasses.MISSING
-                    and f.default_factory is dataclasses.MISSING)
-        if required and f.name not in doc:
-            raise AggregationError(
-                f"line {lineno}: missing field {f.name!r}", line=lineno,
-                field=f.name,
-            )
-    return cls(**doc)
 
 
 def ingest(path):
     """Parse one runner JSONL file into device records.
 
-    A file may hold several concatenated suites; malformed lines are
-    rejected with their line number and offending field.
+    A file may hold several concatenated suites; ``runner.load_suites``
+    rejects malformed lines with their line number and offending field.
     """
-    records = []
-    current = None
-    current_line = 0
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise AggregationError(
-                    f"line {lineno}: invalid JSON: {e}", line=lineno
-                ) from None
-            kind = doc.pop("type", None)
-            if kind == "header":
-                if current is not None:
-                    records.append(_record_from_suite(current, current_line))
-                current = SuiteResult(metadata=doc)
-                current_line = lineno
-            elif kind == "measurement":
-                if current is None:
-                    raise AggregationError(
-                        f"line {lineno}: measurement before header", line=lineno
-                    )
-                current.measurements.append(_build(Measurement, doc, lineno))
-            elif kind == "memory_probe":
-                if current is None:
-                    raise AggregationError(
-                        f"line {lineno}: probe before header", line=lineno
-                    )
-                current.memory_probe = _build(MemoryProbeResult, doc, lineno)
-            else:
-                raise AggregationError(
-                    f"line {lineno}: unknown record type {kind!r}",
-                    line=lineno, field="type",
-                )
-    if current is not None:
-        records.append(_record_from_suite(current, current_line))
-    return records
+    return [_record(s, i) for i, s in enumerate(load_suites(path), start=1)]
 
 
 def ingest_dir(path):
@@ -195,7 +128,7 @@ def rank(records, group_by, profile: ReferenceProfile):
             if rec.suite.memory_probe is not None
         ]
         mem = _filtered_mean(mem_samples)
-        score = _score_from_aggregates(per_test, mem, profile)
+        score = sum(score_points(per_test, mem or 0, profile))
         rows.append(
             RankingRow(
                 group_key=key,
@@ -207,25 +140,6 @@ def rank(records, group_by, profile: ReferenceProfile):
         )
     rows.sort(key=lambda r: (-r.ai_score, r.group_key))
     return rows
-
-
-def _score_from_aggregates(per_test_ms, mem_units, profile):
-    """Recompute the AI score from aggregated metrics via the scoring module."""
-    suite = SuiteResult(metadata={})
-    for t, ms in enumerate(per_test_ms, start=1):
-        suite.measurements.append(
-            Measurement(
-                test_id=t, backend_id="aggregated", images_processed=1,
-                per_image_ms=[ms] if ms else [], avg_ms=ms,
-                passed=ms is not None, budget_s=0.0,
-            )
-        )
-    suite.memory_probe = MemoryProbeResult(
-        max_resolution_units=mem_units or 0,
-        limiting_cause="aggregated",
-        bytes_at_limit=0,
-    )
-    return aggregate_score(suite, profile).total
 
 
 # --- export ---------------------------------------------------------------
@@ -278,8 +192,3 @@ def export(rows, fmt) -> str:
         ]
         return json.dumps(docs, indent=1) + "\n"
     raise AggregationError(f"unknown export format {fmt!r}")
-
-
-def export_path(directory, group_by, fmt):
-    ext = {"csv": "csv", "markdown": "md", "json": "json"}[fmt]
-    return os.path.join(directory, f"{group_by}-ranking.{ext}")

@@ -7,11 +7,12 @@ is already a topological order and cycles are impossible by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ExecutionError, GraphValidationError, ShapeError
 from .kernels import OP_KINDS
-from .kernels.shapes import SAME, VALID, conv_out_hw
+from .kernels.shapes import SAME, VALID, conv_out_hw, stride_hw
 from .tensor import DTYPE_WIDTH, FLOAT32, INT8Q, Tensor
 
 INPUT_ID = "input"
@@ -52,11 +53,6 @@ _ATTR_SCHEMA = {
 _WEIGHT_COUNT = {"conv2d": 2, "depthwise_conv2d": 2, "fully_connected": 2}
 
 
-def _stride(attrs):
-    s = attrs.get("stride", (1, 1))
-    return (s, s) if isinstance(s, int) else tuple(s)
-
-
 def _infer_shape(node, in_shapes, weights):
     """Output shape of one node given its input shapes and weight tensors."""
     kind = node.op_kind
@@ -76,7 +72,7 @@ def _infer_shape(node, in_shapes, weights):
             raise ShapeError(
                 f"input channels {x[3]} != weight Cin {cin}", dimension="channels"
             )
-        oh, ow = conv_out_hw(x[1:3], (kh, kw), _stride(a), a.get("padding", SAME))
+        oh, ow = conv_out_hw(x[1:3], (kh, kw), stride_hw(a), a.get("padding", SAME))
         return (x[0], oh, ow, cout)
     if kind == "fully_connected":
         rows, cols = weights[0].shape[-2], weights[0].shape[-1]
@@ -268,51 +264,42 @@ def count_params(graph) -> int:
     return sum(t.size for t in spec.weights.values())
 
 
-def _node_macs(node, in_shapes, out_shape, weights):
+def _walk(graph: Graph, input_shape=None):
+    """Each node with its output shape, at the graph's own or another input."""
+    shapes = (
+        graph.node_shapes
+        if input_shape is None
+        else graph.shapes_at(tuple(input_shape))
+    )
+    for node in graph.spec.nodes:
+        yield node, shapes[node.id]
+
+
+def _node_macs(node, out_shape, weights):
     kind = node.op_kind
     if kind == "conv2d":
-        kh, kw, cin, cout = weights[0].shape
+        kh, kw, cin, cout = weights[node.weight_refs[0]].shape
         return out_shape[0] * out_shape[1] * out_shape[2] * kh * kw * cin * cout
     if kind == "depthwise_conv2d":
-        kh, kw, c, _ = weights[0].shape
+        kh, kw, c, _ = weights[node.weight_refs[0]].shape
         return out_shape[0] * out_shape[1] * out_shape[2] * kh * kw * c
     if kind == "fully_connected":
-        rows, cols = weights[0].shape[-2], weights[0].shape[-1]
+        rows, cols = weights[node.weight_refs[0]].shape[-2:]
         return out_shape[0] * rows * cols
     return 0
 
 
 def count_macs(graph: Graph, input_shape=None) -> int:
     """Multiply-accumulate count; non-MAC ops contribute zero here."""
-    spec = graph.spec
-    shapes = (
-        graph.node_shapes
-        if input_shape is None
-        else graph.shapes_at(tuple(input_shape))
-    )
-    total = 0
-    for node in spec.nodes:
-        weights = [spec.weights[r] for r in node.weight_refs]
-        in_shapes = [shapes[i] for i in node.input_ids]
-        total += _node_macs(node, in_shapes, shapes[node.id], weights)
-    return total
+    weights = graph.spec.weights
+    return sum(_node_macs(node, shape, weights)
+               for node, shape in _walk(graph, input_shape))
 
 
 def count_other_ops(graph: Graph, input_shape=None) -> int:
     """Output elements produced by non-MAC ops (pool/resize/elementwise)."""
-    spec = graph.spec
-    shapes = (
-        graph.node_shapes
-        if input_shape is None
-        else graph.shapes_at(tuple(input_shape))
-    )
-    total = 0
-    for node in spec.nodes:
-        if node.op_kind in ("conv2d", "depthwise_conv2d", "fully_connected"):
-            continue
-        s = shapes[node.id]
-        total += s[0] * s[1] * s[2] * s[3]
-    return total
+    return sum(math.prod(shape) for node, shape in _walk(graph, input_shape)
+               if node.op_kind not in _WEIGHT_COUNT)
 
 
 def peak_activation_bytes(graph: Graph, input_shape=None) -> int:
@@ -323,22 +310,12 @@ def peak_activation_bytes(graph: Graph, input_shape=None) -> int:
     included here (report them separately).
     """
     spec = graph.spec
-    shapes = (
-        graph.node_shapes
-        if input_shape is None
-        else graph.shapes_at(tuple(input_shape))
-    )
     width = DTYPE_WIDTH[spec.dtype_profile]
-
-    def nbytes(buf_id):
-        s = shapes[buf_id]
-        return s[0] * s[1] * s[2] * s[3] * width
-
     remaining = _consumer_counts(spec)
-    live = {INPUT_ID: nbytes(INPUT_ID)}
-    peak = sum(live.values())
-    for node in spec.nodes:
-        live[node.id] = nbytes(node.id)
+    live = {INPUT_ID: math.prod(input_shape or spec.input_shape) * width}
+    peak = live[INPUT_ID]
+    for node, shape in _walk(graph, input_shape):
+        live[node.id] = math.prod(shape) * width
         peak = max(peak, sum(live.values()))
         for ref in node.input_ids:
             remaining[ref] -= 1

@@ -1,8 +1,9 @@
 """Quantized backend: int8 inference via integer im2col GEMM.
 
 Integer accumulation is exact, so this path agrees bit-for-bit with the
-naive reference int8 kernels; only speed differs.  Covers the ops the
-quantized MobileNet workload needs, plus the shared elementwise int8 ops.
+naive reference int8 kernels; only speed differs.  Only the two conv
+kernels live here; every other int8 op, fully connected included, is the
+reference kernel.
 """
 
 from __future__ import annotations
@@ -56,16 +57,7 @@ def qdepthwise_conv2d(x, w, bias_i32, stride, padding, out_qp):
     return Tensor(requantize(acc, x.qparams, w.qparams, out_qp), INT8Q, out_qp)
 
 
-def qfully_connected(x, w, bias_i32, out_qp):
-    wm = w.data.reshape(w.shape[-2], w.shape[-1]).astype(np.int64) - w.qparams.zero_point
-    flat = x.data.reshape(x.shape[0], -1).astype(np.int64) - x.qparams.zero_point
-    b = np.zeros(wm.shape[1], dtype=np.int64) if bias_i32 is None else np.asarray(bias_i32)
-    acc = flat @ wm + b
-    q = requantize(acc, x.qparams, w.qparams, out_qp)
-    return Tensor(q.reshape(x.shape[0], 1, 1, wm.shape[1]), INT8Q, out_qp)
-
-
 def make_kernel_set() -> KernelSet:
     return KernelSet(
-        "quantized", int8_adapters(qconv2d, qdepthwise_conv2d, qfully_connected)
+        "quantized", int8_adapters(qconv2d, qdepthwise_conv2d)
     )

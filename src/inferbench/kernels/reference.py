@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import QuantizationError, ShapeError
 from ..tensor import FLOAT32, INT8Q, QuantParams, Tensor, dequantize, quantize, round_half_away
 from . import KernelSet
-from .shapes import SAME, VALID, conv_out_hw, pad_amounts
+from .shapes import SAME, VALID, conv_out_hw, pad_amounts, stride_hw
 
 
 def _as_vec(bias, n):
@@ -108,12 +108,6 @@ def fully_connected(x: Tensor, w, bias) -> Tensor:
         for k in range(wm.shape[1]):
             out[n, k] = np.dot(flat[n], wm[:, k]) + b[k]
     return Tensor(out.reshape(x.shape[0], 1, 1, wm.shape[1]))
-
-
-def _pool_window(x, window):
-    if window is None:  # global pooling
-        return (x.shape[1], x.shape[2]), (1, 1), VALID, True
-    return window, None, None, False
 
 
 def pool(x: Tensor, kind, window, stride=None, padding=VALID) -> Tensor:
@@ -337,19 +331,14 @@ def qpool(x: Tensor, kind, window, stride, padding, out_qp) -> Tensor:
 # --- uniform adapters -----------------------------------------------------
 
 
-def _stride(attrs):
-    s = attrs.get("stride", (1, 1))
-    return (s, s) if isinstance(s, int) else tuple(s)
-
-
 def float_adapters(funcs):
     """Build the uniform (inputs, weights, attrs) table from math functions."""
     return {
         ("conv2d", FLOAT32): lambda i, w, a: funcs["conv2d"](
-            i[0], w[0], w[1], _stride(a), a.get("padding", SAME)
+            i[0], w[0], w[1], stride_hw(a), a.get("padding", SAME)
         ),
         ("depthwise_conv2d", FLOAT32): lambda i, w, a: funcs["depthwise_conv2d"](
-            i[0], w[0], w[1], _stride(a), a.get("padding", SAME)
+            i[0], w[0], w[1], stride_hw(a), a.get("padding", SAME)
         ),
         ("fully_connected", FLOAT32): lambda i, w, a: funcs["fully_connected"](
             i[0], w[0], w[1]
@@ -377,18 +366,18 @@ def _qbias(w, bias, x):
     return quantize_bias(bias, x.qparams, w.qparams)
 
 
-def int8_adapters(qconv, qdw, qfc):
-    """int8 table; conv-family kernels are backend-specific, the rest shared."""
+def int8_adapters(qconv, qdw):
+    """int8 table; conv kernels are backend-specific, the rest shared."""
     return {
         ("conv2d", INT8Q): lambda i, w, a: qconv(
-            i[0], w[0], _qbias(w[0], w[1], i[0]), _stride(a),
+            i[0], w[0], _qbias(w[0], w[1], i[0]), stride_hw(a),
             a.get("padding", SAME), a["out_qp"],
         ),
         ("depthwise_conv2d", INT8Q): lambda i, w, a: qdw(
-            i[0], w[0], _qbias(w[0], w[1], i[0]), _stride(a),
+            i[0], w[0], _qbias(w[0], w[1], i[0]), stride_hw(a),
             a.get("padding", SAME), a["out_qp"],
         ),
-        ("fully_connected", INT8Q): lambda i, w, a: qfc(
+        ("fully_connected", INT8Q): lambda i, w, a: qfully_connected(
             i[0], w[0], _qbias(w[0], w[1], i[0]), a["out_qp"]
         ),
         ("pool", INT8Q): lambda i, w, a: qpool(
@@ -421,5 +410,5 @@ _FLOAT_FUNCS = {
 def make_kernel_set() -> KernelSet:
     """Total-coverage reference kernel set (every op, both dtypes)."""
     ops = float_adapters(_FLOAT_FUNCS)
-    ops.update(int8_adapters(qconv2d, qdepthwise_conv2d, qfully_connected))
+    ops.update(int8_adapters(qconv2d, qdepthwise_conv2d))
     return KernelSet("reference", ops)

@@ -40,3 +40,9 @@ def conv_out_hw(in_hw, k_hw, stride_hw, padding):
         out_extent(in_hw[0], k_hw[0], stride_hw[0], padding),
         out_extent(in_hw[1], k_hw[1], stride_hw[1], padding),
     )
+
+
+def stride_hw(attrs):
+    """A node's (stride_h, stride_w); an int stride applies to both axes."""
+    s = attrs.get("stride", (1, 1))
+    return (s, s) if isinstance(s, int) else tuple(s)

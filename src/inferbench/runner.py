@@ -9,12 +9,13 @@ and the budget.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .dispatch import OPTIMIZED, QUANTIZED, REFERENCE, default_registry
-from .errors import InferBenchError
+from .errors import AggregationError, InferBenchError
 from .graph import execute, peak_activation_bytes, validate
 from .tensor import Tensor
 from .workloads import (
@@ -98,8 +99,9 @@ def run_test(graph, spec, kernels, budget_s=None, clock=time.monotonic,
         ts = clock()
         try:
             execute(graph, x, kernels)
-        except InferBenchError as e:
-            notes = f"execution failed on image {i}: {e}"
+        except Exception as e:
+            # one failing test must not lose the rest of the suite
+            notes = f"execution failed on image {i}: {type(e).__name__}: {e}"
             break
         per_image_ms.append((clock() - ts) * 1000.0)
         i += 1
@@ -250,7 +252,7 @@ def run_suite(config: SuiteConfig, clock=time.monotonic, registry=None,
     return suite
 
 
-# --- JSONL serialization --------------------------------------------------
+# --- JSONL codec -----------------------------------------------------------
 
 
 def save_suite(suite: SuiteResult, path):
@@ -273,8 +275,82 @@ def load_suite(path) -> SuiteResult:
     return suites[0]
 
 
+def _field_names(cls):
+    """(allowed, required) field names of one record dataclass."""
+    required = tuple(
+        f.name for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING
+    )
+    return frozenset(f.name for f in fields(cls)), required
+
+
+# record type -> (class, allowed fields, required fields), worked out once
+_RECORDS = {
+    "measurement": (Measurement, *_field_names(Measurement)),
+    "memory_probe": (MemoryProbeResult, *_field_names(MemoryProbeResult)),
+}
+
+
+def _rejected(lineno, message, key=None):
+    return AggregationError(f"line {lineno}: {message}", line=lineno, field=key)
+
+
+def _build(kind, doc, lineno):
+    cls, allowed, required = _RECORDS[kind]
+    for key in doc:
+        if key not in allowed:
+            raise _rejected(lineno, f"unexpected field {key!r}", key)
+    for key in required:
+        if key not in doc:
+            raise _rejected(lineno, f"missing field {key!r}", key)
+    return cls(**doc)
+
+
+def _all_positive(values):
+    """True when every value is a finite positive number.
+
+    A NaN or an infinity makes the sum non-finite, and a value that is not
+    a number makes ``min`` or ``sum`` raise; this is faster than testing
+    each value on its own.
+    """
+    try:
+        return not values or (min(values) > 0 and math.isfinite(sum(values)))
+    except TypeError:
+        return False
+
+
+def _check_measurement(m, seen_ids, lineno):
+    """Reject a measurement that no run of the timing protocol produces."""
+    if type(m.test_id) is not int or not 1 <= m.test_id <= 8:
+        raise _rejected(lineno, f"test_id must be 1..8, got {m.test_id!r}",
+                        "test_id")
+    if m.test_id in seen_ids:
+        raise _rejected(lineno, f"test {m.test_id} listed twice in one suite",
+                        "test_id")
+    seen_ids.add(m.test_id)
+    ms = m.per_image_ms
+    if not isinstance(ms, list) or not _all_positive(ms):
+        raise _rejected(lineno, "per_image_ms must hold finite positive numbers",
+                        "per_image_ms")
+    if m.images_processed != len(ms):
+        raise _rejected(lineno, f"images_processed {m.images_processed!r} != "
+                        f"{len(ms)} per-image times", "images_processed")
+    if m.avg_ms is not None and not _all_positive([m.avg_ms]):
+        raise _rejected(lineno, f"avg_ms must be finite and positive, got "
+                        f"{m.avg_ms!r}", "avg_ms")
+    want = _average(ms)
+    if m.avg_ms != want and not (
+            want and m.avg_ms and math.isclose(m.avg_ms, want, rel_tol=1e-9)):
+        raise _rejected(lineno, f"avg_ms {m.avg_ms!r} is not the mean without "
+                        f"the first two images ({want!r})", "avg_ms")
+
+
 def load_suites(path):
-    """Parse a JSONL file holding one or more concatenated suite results."""
+    """Parse a JSONL file holding one or more concatenated suite results.
+
+    This is the one reader of the result format.  Malformed lines and
+    impossible records raise ``AggregationError`` naming the line and field.
+    """
     suites = []
     current = None
     with open(path, encoding="utf-8") as f:
@@ -282,19 +358,26 @@ def load_suites(path):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise _rejected(lineno, f"invalid JSON: {e}") from None
+            if not isinstance(doc, dict):
+                raise _rejected(lineno, "record is not a JSON object")
             kind = doc.pop("type", None)
             if kind == "header":
                 current = SuiteResult(metadata=doc)
                 suites.append(current)
-            elif kind == "measurement":
+                seen_ids = set()
+            elif kind in _RECORDS:
                 if current is None:
-                    raise InferBenchError(f"line {lineno}: measurement before header")
-                current.measurements.append(Measurement(**doc))
-            elif kind == "memory_probe":
-                if current is None:
-                    raise InferBenchError(f"line {lineno}: probe before header")
-                current.memory_probe = MemoryProbeResult(**doc)
+                    raise _rejected(lineno, f"{kind} before header")
+                record = _build(kind, doc, lineno)
+                if kind == "measurement":
+                    _check_measurement(record, seen_ids, lineno)
+                    current.measurements.append(record)
+                else:
+                    current.memory_probe = record
             else:
-                raise InferBenchError(f"line {lineno}: unknown record type {kind!r}")
+                raise _rejected(lineno, f"unknown record type {kind!r}", "type")
     return suites

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ScoringError
-from .runner import Measurement, MemoryProbeResult, SuiteResult
+from .runner import SuiteResult
 
 
 @dataclass
@@ -41,39 +41,39 @@ class ScoreReport:
     failed_tests: list = field(default_factory=list)
 
 
-def score_test(m: Measurement, profile: ReferenceProfile) -> float:
-    if not 1 <= m.test_id <= 8:
-        raise ScoringError(f"test_id {m.test_id} is not a timed test")
-    if not m.passed or m.avg_ms is None:
-        return 0.0
-    if m.avg_ms <= 0:
-        raise ScoringError(f"test {m.test_id}: avg_ms must be positive")
-    i = m.test_id - 1
-    return profile.weights[i] * profile.t_ref_ms[i] / m.avg_ms
+def score_points(per_test_ms, memory_units, profile: ReferenceProfile) -> list:
+    """Points for tests 1..9 from raw numbers.
 
-
-def score_memory(r: MemoryProbeResult, profile: ReferenceProfile) -> float:
-    return profile.weights[8] * r.max_resolution_units / profile.l_ref_units
+    ``per_test_ms`` holds the average runtimes of tests 1..8, None where a
+    test earns nothing; ``memory_units`` is the probe's resolution.
+    """
+    profile.validate()
+    points = [
+        0.0 if ms is None else w * t_ref / ms
+        for w, t_ref, ms in zip(profile.weights, profile.t_ref_ms, per_test_ms)
+    ]
+    points.append(profile.weights[8] * memory_units / profile.l_ref_units)
+    return points
 
 
 def aggregate_score(suite: SuiteResult, profile: ReferenceProfile) -> ScoreReport:
-    profile.validate()
-    points = [0.0] * 9
+    per_test_ms = [None] * 8
     failed = []
     for m in suite.measurements:
-        pts = score_test(m, profile)
-        points[m.test_id - 1] = pts
+        if not 1 <= m.test_id <= 8:
+            raise ScoringError(f"test_id {m.test_id} is not a timed test")
+        if m.passed and m.avg_ms is not None and m.avg_ms <= 0:
+            raise ScoringError(f"test {m.test_id}: avg_ms must be positive")
+        per_test_ms[m.test_id - 1] = m.avg_ms if m.passed else None
         if not m.passed:
             failed.append(m.test_id)
-    for i in range(8):
-        if not any(m.test_id == i + 1 for m in suite.measurements):
-            failed.append(i + 1)
-    if suite.memory_probe is not None:
-        points[8] = score_memory(suite.memory_probe, profile)
-        if suite.memory_probe.max_resolution_units < 1:
-            failed.append(9)
-    else:
+    seen = {m.test_id for m in suite.measurements}
+    failed += [t for t in range(1, 9) if t not in seen]
+    probe = suite.memory_probe
+    units = 0 if probe is None else probe.max_resolution_units
+    if units < 1:
         failed.append(9)
+    points = score_points(per_test_ms, units, profile)
     return ScoreReport(
         per_test_points=points,
         total=sum(points),

@@ -118,20 +118,24 @@ def _observe_ranges(graph, x):
     return ranges
 
 
+def _quantize_weights(weights):
+    """Per-tensor int8 codes from each weight's own min/max.
+
+    Biases (``_b``) stay real-valued; the kernels convert them to int32 at
+    the accumulator scale.
+    """
+    return {
+        name: t if name.endswith("_b") else quantize(
+            t, qparams_from_range(float(t.data.min()), float(t.data.max())))
+        for name, t in weights.items()
+    }
+
+
 def quantize_graph(spec: GraphSpec, ranges) -> GraphSpec:
     """Float graph -> per-tensor asymmetric int8 graph.
 
-    Weights get qparams from their own min/max; activations use the
-    calibrated per-node ranges; biases stay real-valued and are converted
-    to int32 at the accumulator scale inside the kernels.
+    Activations use the calibrated per-node ranges.
     """
-    weights = {}
-    for name, t in spec.weights.items():
-        if name.endswith("_b"):
-            weights[name] = t
-        else:
-            qp = qparams_from_range(float(t.data.min()), float(t.data.max()))
-            weights[name] = quantize(t, qp)
     nodes = []
     for node in spec.nodes:
         lo, hi = ranges[node.id]
@@ -146,7 +150,7 @@ def quantize_graph(spec: GraphSpec, ranges) -> GraphSpec:
         input_shape=spec.input_shape,
         nodes=nodes,
         output_id=spec.output_id,
-        weights=weights,
+        weights=_quantize_weights(spec.weights),
         dtype_profile=INT8Q,
     )
 
@@ -275,33 +279,19 @@ def graph_from_file(path) -> Graph:
                 [wdoc["name"] for wdoc in layer["weights"]],
             )
         )
-    gspec = GraphSpec(
+    dtype = INT8Q if doc["dtype_profile"] == INT8Q else FLOAT32
+    if dtype == INT8Q:
+        # Per-node activation qparams already live in the attrs; only the
+        # weight codes need rebuilding.
+        weights = _quantize_weights(weights)
+    return validate(GraphSpec(
         name=doc["name"],
         input_shape=(1, *spec.input_resolution, 3),
         nodes=nodes,
         output_id=doc["output_id"],
         weights=weights,
-        dtype_profile=FLOAT32,
-    )
-    if doc["dtype_profile"] == INT8Q:
-        # Per-node activation qparams already live in the attrs; only the
-        # weight codes need rebuilding.
-        qweights = {}
-        for name, t in weights.items():
-            if name.endswith("_b"):
-                qweights[name] = t
-            else:
-                qp = qparams_from_range(float(t.data.min()), float(t.data.max()))
-                qweights[name] = quantize(t, qp)
-        gspec = GraphSpec(
-            name=doc["name"],
-            input_shape=gspec.input_shape,
-            nodes=nodes,
-            output_id=doc["output_id"],
-            weights=qweights,
-            dtype_profile=INT8Q,
-        )
-    return validate(gspec)
+        dtype_profile=dtype,
+    ))
 
 
 def weight_bytes(graph: Graph) -> int:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,49 @@ def test_ingest_rejects_measurement_before_header(tmp_path):
     path.write_text('{"type": "measurement", "test_id": 1}\n')
     with pytest.raises(AggregationError):
         ingest(path)
+
+
+_HEADER_LINE = '{"type": "header", "device_name": "a", "soc_name": "s"}\n'
+NAN, INF = float("nan"), float("inf")
+
+
+def _measurement_line(**changes):
+    m = Measurement(1, "optimized", 5, [50.0, 50.0, 10.0, 10.0, 10.0], 10.0,
+                    True, 10.0)
+    return json.dumps({"type": "measurement", **asdict(m), **changes}) + "\n"
+
+
+@pytest.mark.parametrize("lines, field", [
+    ([_measurement_line(avg_ms=NAN)], "avg_ms"),
+    ([_measurement_line(avg_ms=-10.0)], "avg_ms"),
+    ([_measurement_line(per_image_ms=[50.0, 50.0, 10.0, INF, 10.0])],
+     "per_image_ms"),
+    ([_measurement_line(per_image_ms=[50.0, 50.0, 10.0, 0.0, 10.0])],
+     "per_image_ms"),
+    ([_measurement_line(test_id=0)], "test_id"),
+    ([_measurement_line(test_id=9)], "test_id"),
+    ([_measurement_line(), _measurement_line()], "test_id"),
+    ([_measurement_line(images_processed=6)], "images_processed"),
+    ([_measurement_line(avg_ms=26.0)], "avg_ms"),  # mean of all five
+    ([_measurement_line(avg_ms=None)], "avg_ms"),
+    ([_measurement_line(images_processed=0, per_image_ms=[])], "avg_ms"),
+    # a failed test without images is a possible record
+    ([_measurement_line(images_processed=0, per_image_ms=[], avg_ms=None,
+                        passed=False)], None),
+], ids=["nan-avg", "negative-avg", "infinite-image", "zero-image",
+        "test-id-0", "test-id-9", "duplicate-test-id", "image-count",
+        "avg-keeps-first-two", "null-avg-with-images", "avg-without-images",
+        "failed-without-images"])
+def test_ingest_rejects_impossible_record(tmp_path, lines, field):
+    path = tmp_path / "r.jsonl"
+    path.write_text(_HEADER_LINE + "".join(lines))
+    if field is None:
+        assert len(ingest(path)[0].suite.measurements) == 1
+        return
+    with pytest.raises(AggregationError) as e:
+        ingest(path)
+    assert e.value.field == field
+    assert e.value.line == 1 + len(lines)
 
 
 def test_ingest_dir_collects_all_files(tmp_path):

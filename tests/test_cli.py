@@ -68,6 +68,27 @@ def test_calibrate_then_score_fixed_point(suite_file, tmp_path, capsys):
     assert "total: 1000.00" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["score", "calibrate", "rank"])
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda line: json.dumps({**json.loads(line), "bogus": 1}),
+     "line 2: unexpected field 'bogus'"),
+    (lambda line: json.dumps({k: v for k, v in json.loads(line).items()
+                              if k != "passed"}),
+     "line 2: missing field 'passed'"),
+    (lambda line: "not json", "line 2: invalid JSON"),
+], ids=["extra-field", "missing-field", "invalid-json"])
+def test_malformed_result_file_is_validation_error(
+        suite_file, profile_file, tmp_path, capsys, command, corrupt, message):
+    lines = suite_file.read_text().splitlines()
+    lines[1] = corrupt(lines[1])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    extra = (["--out", str(tmp_path / "p.json")] if command == "calibrate"
+             else ["--profile", str(profile_file)])
+    assert main([command, str(bad), *extra]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_rank_command_csv(suite_file, profile_file, tmp_path, capsys):
     out = tmp_path / "ranking.csv"
     rc = main(["rank", str(suite_file), "--profile", str(profile_file),

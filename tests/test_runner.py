@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from inferbench.dispatch import OPTIMIZED, QUANTIZED, REFERENCE
+from inferbench.dispatch import OPTIMIZED, QUANTIZED, REFERENCE, default_registry
 from inferbench.graph import INPUT_ID, GraphSpec, OperatorNode, validate
-from inferbench.kernels import optimized
+from inferbench.kernels import FLOAT32, optimized
 from inferbench.runner import (
     ALLOCATION_FAILURE,
     CONFIGURED_CAP,
@@ -160,6 +160,37 @@ def test_run_suite_tiny_budgets_produce_nine_entries(tmp_path):
     assert [m.avg_ms for m in loaded.measurements] == \
         [m.avg_ms for m in suite.measurements]
     assert loaded.memory_probe == suite.memory_probe
+
+
+def test_memory_error_fails_one_test_and_keeps_the_suite():
+    registry = default_registry(1)
+    ops = registry.kernels(OPTIMIZED).ops
+    resize = ops[("resize_bilinear", FLOAT32)]
+
+    def failing_resize(inputs, weights, attrs):
+        # only the SRGAN generator (test 6) resizes 64-channel maps
+        if inputs[0].shape[3] == 64:
+            raise MemoryError
+        return resize(inputs, weights, attrs)
+
+    ops[("resize_bilinear", FLOAT32)] = failing_resize
+    config = SuiteConfig(scale=0.05, budget_scale=0.1, device_name="dev",
+                         soc_name="soc",
+                         mem_cap_bytes=int(predict_probe_bytes(100) * 1.5))
+    suite = run_suite(config, registry=registry)
+    assert [m.test_id for m in suite.measurements] == list(range(1, 9))
+    assert [m.test_id for m in suite.measurements if not m.passed] == [6]
+    assert "MemoryError" in suite.measurements[5].notes
+    assert suite.memory_probe.max_resolution_units == 1
+
+    class Interrupted(FakeKernels):
+        def apply(self, *args):
+            raise KeyboardInterrupt
+
+    spec = _make_spec(4, 0.1, 42)
+    with pytest.raises(KeyboardInterrupt):
+        run_test(_passthrough_graph(*spec.input_resolution), spec,
+                 Interrupted(SimulatedClock(), [0.1]), 1.0)
 
 
 def test_load_suites_concatenated(tmp_path):

@@ -8,8 +8,7 @@ from inferbench.scoring import (
     calibrate_profile,
     load_profile,
     save_profile,
-    score_memory,
-    score_test,
+    score_points,
 )
 
 
@@ -37,17 +36,18 @@ def _suite(avgs, units=5):
 
 def test_score_is_inverse_runtime():
     # half the reference runtime earns double the weight
-    assert score_test(_measurement(1, 50.0), _profile()) == 20.0
-    assert score_test(_measurement(1, 200.0), _profile()) == 5.0
+    points = score_points([50.0, 200.0] + [None] * 6, 0, _profile())
+    assert points[:2] == [20.0, 5.0]
 
 
 def test_failed_test_scores_zero():
-    assert score_test(_measurement(2, 50.0, passed=False), _profile()) == 0.0
+    s = _suite([100.0] * 8)
+    s.measurements[1] = _measurement(2, 50.0, passed=False)
+    assert aggregate_score(s, _profile()).per_test_points[1] == 0.0
 
 
 def test_score_memory_proportional_to_units():
-    assert score_memory(MemoryProbeResult(10, "configured_cap", 0),
-                        _profile()) == 20.0
+    assert score_points([None] * 8, 10, _profile())[8] == 20.0
 
 
 def test_aggregate_sums_all_nine():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from inferbench.workloads import (
     instantiate,
     load_spec,
     save_spec,
+    serialize_spec,
     weight_bytes,
     _make_spec,
 )
@@ -215,6 +218,26 @@ def test_shipped_spec_files_load(tmp_path):
     from importlib import resources
     base = resources.files("inferbench").joinpath("data", "workloads", "v1")
     for t in range(1, 10):
-        spec = load_spec(str(base.joinpath(f"t{t}.json")))
+        path = str(base.joinpath(f"t{t}.json"))
+        spec = load_spec(path)
         assert spec.test_id == t
         spec.validate()
+        # the shipped file rebuilds, bit for bit, the weights built today
+        graph, built = instantiate(t, 1.0)
+        rebuilt = graph_from_file(path).spec.weights
+        assert rebuilt.keys() == graph.spec.weights.keys()
+        for name, w in graph.spec.weights.items():
+            assert rebuilt[name].qparams == w.qparams
+            assert rebuilt[name].data.dtype == w.data.dtype
+            assert np.array_equal(rebuilt[name].data, w.data)
+        with open(path, encoding="utf-8") as f:
+            shipped = json.load(f)
+        doc = serialize_spec(built, graph)
+        if t == 1:
+            # Activation scales come from a float calibration pass through
+            # BLAS, whose last bits depend on the BLAS build: some layers
+            # differ from the shipped file by about one float32 ulp.
+            scales = [l["attrs"]["out_qp"].pop("scale") for l in doc["layers"]]
+            want = [l["attrs"]["out_qp"].pop("scale") for l in shipped["layers"]]
+            assert scales == pytest.approx(want, rel=1e-6)
+        assert doc == shipped
