@@ -16,9 +16,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..errors import ShapeError
 from ..tensor import Tensor
 from . import KernelSet
+from .im2col import im2col
 from .shapes import SAME, VALID, conv_out_hw, pad_amounts
 from . import reference
-from .reference import _as_vec, _check_conv_shapes, _pad_float
+from .reference import _as_vec, _check_conv_shapes, _check_fc_rows, _zero_pad
 
 # Patch rows per GEMM tile; fixed so the reduction grid never depends on
 # the worker count.
@@ -45,18 +46,14 @@ class OptimizedBackend:
         kh, kw, cin, cout = _check_conv_shapes(x, w)
         oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
         b = _as_vec(bias, cout).astype(np.float32)
-        xp = _pad_float(x.data, kh, kw, stride, padding)
-        # (N, OH, OW, C, kh, kw) strided view; copies happen per tile only.
-        v = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :: stride[0], :: stride[1]]
+        xp = _zero_pad(x.data, kh, kw, stride, padding)
         wm = w.data.reshape(kh * kw * cin, cout)
         out = np.empty((x.shape[0], oh, ow, cout), dtype=np.float32)
         rows = max(1, _TILE_ELEMS // max(1, ow))
 
         def tile(n, r0, r1):
             def run():
-                block = np.ascontiguousarray(
-                    v[n, r0:r1].transpose(0, 1, 3, 4, 2)
-                ).reshape(-1, kh * kw * cin)
+                block = im2col(xp, kh, kw, stride, n, slice(r0, r1))
                 out[n, r0:r1] = (block @ wm + b).reshape(r1 - r0, ow, cout)
 
             return run
@@ -73,7 +70,7 @@ class OptimizedBackend:
         kh, kw, c, _ = _check_conv_shapes(x, w, depthwise=True)
         oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
         b = _as_vec(bias, c).astype(np.float32)
-        xp = _pad_float(x.data, kh, kw, stride, padding)
+        xp = _zero_pad(x.data, kh, kw, stride, padding)
         v = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :: stride[0], :: stride[1]]
         wk = w.data[:, :, :, 0]
         out = np.empty((x.shape[0], oh, ow, c), dtype=np.float32)
@@ -99,11 +96,7 @@ class OptimizedBackend:
         wm = w.data if isinstance(w, Tensor) else np.asarray(w, dtype=np.float32)
         wm = wm.reshape(wm.shape[-2], wm.shape[-1]) if wm.ndim == 4 else wm
         flat = x.data.reshape(x.shape[0], -1)
-        if flat.shape[1] != wm.shape[0]:
-            raise ShapeError(
-                f"flattened input length {flat.shape[1]} != weight rows {wm.shape[0]}",
-                dimension="rows",
-            )
+        _check_fc_rows(flat, wm.shape[0])
         b = _as_vec(bias, wm.shape[1]).astype(np.float32)
         out = flat @ wm + b
         return Tensor(out.reshape(x.shape[0], 1, 1, wm.shape[1]))

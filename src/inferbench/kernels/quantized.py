@@ -1,44 +1,71 @@
-"""Quantized backend: int8 inference via integer im2col GEMM.
+"""Quantized backend: int8 inference on exact float64 BLAS GEMMs.
 
-Integer accumulation is exact, so this path agrees bit-for-bit with the
-naive reference int8 kernels; only speed differs.  Only the two conv
-kernels live here; every other int8 op, fully connected included, is the
-reference kernel.
+Every accumulator here is exact, so this backend agrees bit for bit with
+the reference int8 kernels and requantizes with the same
+``reference.requantize``; only speed differs.
+
+- conv2d and fully_connected compute (x - zp_x) @ (w - zp_w) as a float64
+  GEMM, the conv through the same im2col as the optimized float conv.
+  numpy multiplies integer matrices without BLAS, float64 ones with it.
+  float64 is exact here: every operand is an integer of magnitude at most
+  255, and ``reference.MAX_Q_KERNEL``/``MAX_Q_CHANNELS`` cap a conv's
+  reduction at K = 9 * 9 * 1024, so every partial sum, in any order, is an
+  integer of magnitude at most 255**2 * 82944 ~ 5.4e9 < 2**53.  A fully
+  connected layer would need K > 2**53 / 255**2 ~ 1.4e11, a weight far
+  larger than memory, to lose exactness.  float32 would not do: its 2**24
+  is already exceeded at t1's K = 1024.
+- depthwise_conv2d has no GEMM; it adds kh * kw shifted, strided slices of
+  the padded input times one weight tap each.  int32 is exact here
+  (|acc| <= 255**2 * 81 < 2**31) and moves half the bytes of int64.
+- relu looks each code up in a 256-entry table that ``reference.qrelu``
+  builds for the node's (in, out) qparams, exact because qrelu is
+  elementwise.
+
+Every other int8 op is the reference kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..tensor import INT8Q, Tensor
-from . import KernelSet
-from .shapes import SAME, conv_out_hw, pad_amounts
+from . import KernelSet, reference
+from .im2col import im2col
+from .shapes import conv_out_hw
 from .reference import (
     _check_conv_shapes,
+    _check_fc_rows,
     _check_q_config,
+    _zero_pad,
     int8_adapters,
     requantize,
 )
+
+# all 256 int8 codes, ordered by their uint8 bit pattern
+_CODES = np.arange(256, dtype=np.uint8).view(np.int8).reshape(1, 1, 1, 256)
+
+
+def _centered(t):
+    """A tensor's codes minus its zero point, as float64 (exact integers)."""
+    return np.subtract(t.data, t.qparams.zero_point, dtype=np.float64)
+
+
+def _exact_gemm(a, w, bias_i32):
+    """``a @ (w - zp_w) + bias`` as exact int64; ``a`` holds centered codes."""
+    acc = (a @ _centered(w).reshape(-1, w.shape[-1])).astype(np.int64)
+    if bias_i32 is not None:
+        acc += bias_i32
+    return acc
 
 
 def qconv2d(x, w, bias_i32, stride, padding, out_qp):
     kh, kw, cin, cout = _check_conv_shapes(x, w)
     _check_q_config(kh, kw, cin)
     oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
-    pt, pb = pad_amounts(x.shape[1], kh, stride[0], padding)
-    pl, pr = pad_amounts(x.shape[2], kw, stride[1], padding)
-    xd = x.data.astype(np.int64) - x.qparams.zero_point
-    xp = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    v = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :: stride[0], :: stride[1]]
-    wm = (w.data.astype(np.int64) - w.qparams.zero_point).reshape(kh * kw * cin, cout)
-    b = np.zeros(cout, dtype=np.int64) if bias_i32 is None else np.asarray(bias_i32)
-    acc = np.empty((x.shape[0], oh, ow, cout), dtype=np.int64)
-    for n in range(x.shape[0]):
-        block = np.ascontiguousarray(v[n].transpose(0, 1, 3, 4, 2)).reshape(
-            -1, kh * kw * cin
-        )
-        acc[n] = (block @ wm + b).reshape(oh, ow, cout)
+    # zero padding of centered codes represents real zeros
+    xp = _zero_pad(_centered(x), kh, kw, stride, padding)
+    acc = _exact_gemm(im2col(xp, kh, kw, stride), w, bias_i32)
+    acc = acc.reshape(x.shape[0], oh, ow, cout)
     return Tensor(requantize(acc, x.qparams, w.qparams, out_qp), INT8Q, out_qp)
 
 
@@ -46,18 +73,36 @@ def qdepthwise_conv2d(x, w, bias_i32, stride, padding, out_qp):
     kh, kw, c, _ = _check_conv_shapes(x, w, depthwise=True)
     _check_q_config(kh, kw, 1)
     oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
-    pt, pb = pad_amounts(x.shape[1], kh, stride[0], padding)
-    pl, pr = pad_amounts(x.shape[2], kw, stride[1], padding)
-    xd = x.data.astype(np.int64) - x.qparams.zero_point
-    xp = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    v = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :: stride[0], :: stride[1]]
-    wk = w.data.astype(np.int64)[:, :, :, 0] - w.qparams.zero_point
-    b = np.zeros(c, dtype=np.int64) if bias_i32 is None else np.asarray(bias_i32)
-    acc = np.einsum("nrwckl,klc->nrwc", v, wk) + b
+    sh, sw = stride
+    xp = _zero_pad(x.data.astype(np.int32) - x.qparams.zero_point,
+                    kh, kw, stride, padding)
+    wk = w.data[:, :, :, 0].astype(np.int32) - w.qparams.zero_point
+    acc = np.zeros((x.shape[0], oh, ow, c), dtype=np.int32)
+    for i in range(kh):
+        for j in range(kw):
+            acc += xp[:, i : i + sh * (oh - 1) + 1 : sh,
+                      j : j + sw * (ow - 1) + 1 : sw] * wk[i, j]
+    if bias_i32 is not None:
+        acc = acc + np.asarray(bias_i32, dtype=np.int64)
     return Tensor(requantize(acc, x.qparams, w.qparams, out_qp), INT8Q, out_qp)
 
 
+def qfully_connected(x, w, bias_i32, out_qp):
+    flat = _centered(x).reshape(x.shape[0], -1)
+    _check_fc_rows(flat, w.shape[-2])
+    q = requantize(_exact_gemm(flat, w, bias_i32), x.qparams, w.qparams, out_qp)
+    return Tensor(q.reshape(x.shape[0], 1, 1, w.shape[-1]), INT8Q, out_qp)
+
+
+def qrelu(x, out_qp):
+    table = reference.qrelu(Tensor(_CODES, INT8Q, x.qparams), out_qp).data
+    return Tensor(np.take(table.reshape(256), x.data.view(np.uint8)), INT8Q, out_qp)
+
+
 def make_kernel_set() -> KernelSet:
-    return KernelSet(
-        "quantized", int8_adapters(qconv2d, qdepthwise_conv2d)
-    )
+    return KernelSet("quantized", int8_adapters({
+        "conv2d": qconv2d,
+        "depthwise_conv2d": qdepthwise_conv2d,
+        "fully_connected": qfully_connected,
+        "relu": qrelu,
+    }))

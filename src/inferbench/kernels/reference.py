@@ -46,7 +46,15 @@ def _check_conv_shapes(x, w, depthwise=False):
     return kh, kw, cin, cout
 
 
-def _pad_float(x, kh, kw, stride, padding):
+def _check_fc_rows(flat, rows):
+    if flat.shape[1] != rows:
+        raise ShapeError(
+            f"flattened input length {flat.shape[1]} != weight rows {rows}",
+            dimension="rows",
+        )
+
+
+def _zero_pad(x, kh, kw, stride, padding):
     pt, pb = pad_amounts(x.shape[1], kh, stride[0], padding)
     pl, pr = pad_amounts(x.shape[2], kw, stride[1], padding)
     if pt or pb or pl or pr:
@@ -59,7 +67,7 @@ def conv2d(x: Tensor, w: Tensor, bias, stride=(1, 1), padding=SAME) -> Tensor:
     kh, kw, cin, cout = _check_conv_shapes(x, w)
     oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
     b = _as_vec(bias, cout).astype(np.float32)
-    xp = _pad_float(x.data, kh, kw, stride, padding)
+    xp = _zero_pad(x.data, kh, kw, stride, padding)
     wm = w.data
     out = np.empty((x.shape[0], oh, ow, cout), dtype=np.float32)
     for n in range(x.shape[0]):
@@ -79,7 +87,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias, stride=(1, 1), padding=SAME) ->
     kh, kw, c, _ = _check_conv_shapes(x, w, depthwise=True)
     oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
     b = _as_vec(bias, c).astype(np.float32)
-    xp = _pad_float(x.data, kh, kw, stride, padding)
+    xp = _zero_pad(x.data, kh, kw, stride, padding)
     wm = w.data[:, :, :, 0]
     out = np.empty((x.shape[0], oh, ow, c), dtype=np.float32)
     for n in range(x.shape[0]):
@@ -97,11 +105,7 @@ def fully_connected(x: Tensor, w, bias) -> Tensor:
     wm = w.data if isinstance(w, Tensor) else np.asarray(w, dtype=np.float32)
     wm = wm.reshape(wm.shape[-2], wm.shape[-1]) if wm.ndim == 4 else wm
     flat = x.data.reshape(x.shape[0], -1)
-    if flat.shape[1] != wm.shape[0]:
-        raise ShapeError(
-            f"flattened input length {flat.shape[1]} != weight rows {wm.shape[0]}",
-            dimension="rows",
-        )
+    _check_fc_rows(flat, wm.shape[0])
     b = _as_vec(bias, wm.shape[1]).astype(np.float32)
     out = np.empty((x.shape[0], wm.shape[1]), dtype=np.float32)
     for n in range(x.shape[0]):
@@ -207,6 +211,11 @@ def softmax(x: Tensor) -> Tensor:
 
 # --- int8 path ------------------------------------------------------------
 
+# These caps keep the quantized backend's fast accumulators exact.  A conv
+# sums K = kh * kw * cin <= 9 * 9 * 1024 = 82944 products of centered codes,
+# each at most 255 * 255, so |acc| <= 255**2 * 82944 ~ 5.4e9 < 2**53: float64
+# holds every partial sum exactly, in any order.  A depthwise conv sums
+# kh * kw <= 81 of them, so |acc| <= 255**2 * 81 ~ 5.3e6 < 2**31: int32 does.
 MAX_Q_KERNEL = 9
 MAX_Q_CHANNELS = 1024
 
@@ -282,11 +291,7 @@ def qdepthwise_conv2d(x: Tensor, w: Tensor, bias_i32, stride, padding, out_qp) -
 def qfully_connected(x: Tensor, w: Tensor, bias_i32, out_qp) -> Tensor:
     wm = w.data.reshape(w.shape[-2], w.shape[-1]).astype(np.int64) - w.qparams.zero_point
     flat = x.data.reshape(x.shape[0], -1).astype(np.int64) - x.qparams.zero_point
-    if flat.shape[1] != wm.shape[0]:
-        raise ShapeError(
-            f"flattened input length {flat.shape[1]} != weight rows {wm.shape[0]}",
-            dimension="rows",
-        )
+    _check_fc_rows(flat, wm.shape[0])
     b = np.zeros(wm.shape[1], dtype=np.int64) if bias_i32 is None else np.asarray(bias_i32)
     acc = flat @ wm + b
     q = requantize(acc, x.qparams, w.qparams, out_qp)
@@ -366,18 +371,19 @@ def _qbias(w, bias, x):
     return quantize_bias(bias, x.qparams, w.qparams)
 
 
-def int8_adapters(qconv, qdw):
-    """int8 table; conv kernels are backend-specific, the rest shared."""
+def int8_adapters(funcs):
+    """int8 table; ``funcs`` holds the backend's conv2d, depthwise_conv2d,
+    fully_connected and relu, the other ops are shared."""
     return {
-        ("conv2d", INT8Q): lambda i, w, a: qconv(
+        ("conv2d", INT8Q): lambda i, w, a: funcs["conv2d"](
             i[0], w[0], _qbias(w[0], w[1], i[0]), stride_hw(a),
             a.get("padding", SAME), a["out_qp"],
         ),
-        ("depthwise_conv2d", INT8Q): lambda i, w, a: qdw(
+        ("depthwise_conv2d", INT8Q): lambda i, w, a: funcs["depthwise_conv2d"](
             i[0], w[0], _qbias(w[0], w[1], i[0]), stride_hw(a),
             a.get("padding", SAME), a["out_qp"],
         ),
-        ("fully_connected", INT8Q): lambda i, w, a: qfully_connected(
+        ("fully_connected", INT8Q): lambda i, w, a: funcs["fully_connected"](
             i[0], w[0], _qbias(w[0], w[1], i[0]), a["out_qp"]
         ),
         ("pool", INT8Q): lambda i, w, a: qpool(
@@ -388,7 +394,7 @@ def int8_adapters(qconv, qdw):
             i[0], a["out_h"], a["out_w"], a["out_qp"]
         ),
         ("add", INT8Q): lambda i, w, a: qadd(i[0], i[1], a["out_qp"]),
-        ("relu", INT8Q): lambda i, w, a: qrelu(i[0], a["out_qp"]),
+        ("relu", INT8Q): lambda i, w, a: funcs["relu"](i[0], a["out_qp"]),
         ("concat_channels", INT8Q): lambda i, w, a: qconcat_channels(i, a["out_qp"]),
         ("softmax", INT8Q): lambda i, w, a: qsoftmax(i[0], a["out_qp"]),
     }
@@ -410,5 +416,10 @@ _FLOAT_FUNCS = {
 def make_kernel_set() -> KernelSet:
     """Total-coverage reference kernel set (every op, both dtypes)."""
     ops = float_adapters(_FLOAT_FUNCS)
-    ops.update(int8_adapters(qconv2d, qdepthwise_conv2d))
+    ops.update(int8_adapters({
+        "conv2d": qconv2d,
+        "depthwise_conv2d": qdepthwise_conv2d,
+        "fully_connected": qfully_connected,
+        "relu": qrelu,
+    }))
     return KernelSet("reference", ops)

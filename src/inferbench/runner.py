@@ -12,7 +12,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .dispatch import OPTIMIZED, QUANTIZED, REFERENCE, default_registry
 from .errors import AggregationError, InferBenchError
@@ -257,13 +257,15 @@ def run_suite(config: SuiteConfig, clock=time.monotonic, registry=None,
 
 def save_suite(suite: SuiteResult, path):
     """One JSONL file: header line, then one line per result."""
+    # vars() lists a record's fields in declaration order, like asdict(),
+    # without deep-copying each per-image list first.
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"type": "header", **suite.metadata}) + "\n")
         for m in suite.measurements:
-            f.write(json.dumps({"type": "measurement", **asdict(m)}) + "\n")
+            f.write(json.dumps({"type": "measurement", **vars(m)}) + "\n")
         if suite.memory_probe is not None:
             f.write(
-                json.dumps({"type": "memory_probe", **asdict(suite.memory_probe)})
+                json.dumps({"type": "memory_probe", **vars(suite.memory_probe)})
                 + "\n"
             )
 

@@ -1,0 +1,135 @@
+"""Differential tests: the fast kernels against the reference oracle.
+
+Hypothesis draws small random layers (batch, extents, channels, kernel,
+per-axis strides, padding, zero points over the whole int8 range).  The
+quantized backend must give the reference's int8 codes bit for bit; the
+optimized float conv must stay within 1e-4 relative of the reference and
+give the same bits at any thread count.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from inferbench.kernels import optimized, quantized, reference
+from inferbench.kernels.shapes import SAME, VALID
+from inferbench.tensor import INT8Q, QuantParams, Tensor
+
+SETTINGS = settings(max_examples=300, deadline=None)
+
+zero_points = st.one_of(st.sampled_from([-128, 127]), st.integers(-128, 127))
+scales = st.floats(1e-3, 1.0)
+# requantization multiplier in_s * w_s / out_s: from outputs that mostly
+# saturate to outputs spread over a few codes
+multipliers = st.floats(1e-5, 0.1)
+kernels_hw = st.one_of(st.just((1, 1)), st.tuples(st.integers(1, 4), st.integers(1, 4)))
+strides = st.tuples(st.integers(1, 3), st.integers(1, 3))
+paddings = st.sampled_from([SAME, VALID])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _codes(rng, shape, extremes):
+    """int8 codes, either uniform or only the two ends of the range."""
+    if extremes:
+        return rng.choice(np.array([-128, 127], dtype=np.int8), size=shape)
+    return rng.integers(-128, 128, size=shape).astype(np.int8)
+
+
+@st.composite
+def conv_shapes(draw, depthwise=False):
+    """(input NHWC shape, weight HWIO shape, stride, padding)."""
+    n, h, w = draw(st.integers(1, 2)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cin = draw(st.integers(1, 8))
+    cout = 1 if depthwise else draw(st.integers(1, 8))
+    kh, kw = draw(kernels_hw)
+    padding = draw(paddings)
+    if padding == VALID:
+        kh, kw = min(kh, h), min(kw, w)
+    return (n, h, w, cin), (kh, kw, cin, cout), draw(strides), padding
+
+
+@st.composite
+def conv_layers(draw, depthwise=False):
+    x_shape, w_shape, stride, padding = draw(conv_shapes(depthwise))
+    rng = np.random.default_rng(draw(seeds))
+    extremes = draw(st.booleans())
+    x_qp = QuantParams(draw(scales), draw(zero_points))
+    w_qp = QuantParams(draw(scales), draw(zero_points))
+    out_qp = QuantParams(x_qp.scale * w_qp.scale / draw(multipliers),
+                         draw(zero_points))
+    x = Tensor(_codes(rng, x_shape, extremes), INT8Q, x_qp)
+    wt = Tensor(_codes(rng, w_shape, extremes), INT8Q, w_qp)
+    channels = w_shape[2] if depthwise else w_shape[3]
+    bias = None
+    if draw(st.booleans()):
+        bias = rng.integers(-(2**20), 2**20, size=channels)
+    return x, wt, bias, stride, padding, out_qp
+
+
+@given(conv_layers())
+@SETTINGS
+def test_qconv2d_matches_reference_bit_for_bit(layer):
+    want = reference.qconv2d(*layer)
+    got = quantized.qconv2d(*layer)
+    assert got.qparams == want.qparams
+    assert np.array_equal(got.data, want.data)
+
+
+@given(conv_layers(depthwise=True))
+@SETTINGS
+def test_qdepthwise_matches_reference_bit_for_bit(layer):
+    want = reference.qdepthwise_conv2d(*layer)
+    got = quantized.qdepthwise_conv2d(*layer)
+    assert np.array_equal(got.data, want.data)
+
+
+@given(st.integers(1, 2), st.integers(1, 12), st.integers(1, 12), st.integers(1, 8),
+       st.integers(1, 8), zero_points, zero_points, zero_points, multipliers,
+       st.booleans(), st.booleans(), seeds)
+@SETTINGS
+def test_qfully_connected_matches_reference_bit_for_bit(
+        n, h, w, c, cols, x_zp, w_zp, out_zp, mult, extremes, with_bias, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(_codes(rng, (n, h, w, c), extremes), INT8Q, QuantParams(0.02, x_zp))
+    wt = Tensor(_codes(rng, (1, 1, h * w * c, cols), extremes), INT8Q,
+                QuantParams(0.01, w_zp))
+    bias = rng.integers(-(2**20), 2**20, size=cols) if with_bias else None
+    out_qp = QuantParams(0.02 * 0.01 / mult, out_zp)
+    want = reference.qfully_connected(x, wt, bias, out_qp)
+    got = quantized.qfully_connected(x, wt, bias, out_qp)
+    assert got.shape == want.shape
+    assert np.array_equal(got.data, want.data)
+
+
+@given(st.integers(1, 2), st.integers(1, 12), st.integers(1, 12), st.integers(1, 8),
+       scales, zero_points, scales, zero_points, st.booleans(), seeds)
+@SETTINGS
+def test_qrelu_matches_reference_bit_for_bit(
+        n, h, w, c, in_s, in_zp, out_s, out_zp, same_qp, seed):
+    in_qp = QuantParams(in_s, in_zp)
+    out_qp = in_qp if same_qp else QuantParams(out_s, out_zp)
+    rng = np.random.default_rng(seed)
+    x = Tensor(_codes(rng, (n, h, w, c), False), INT8Q, in_qp)
+    want = reference.qrelu(x, out_qp)
+    got = quantized.qrelu(x, out_qp)
+    assert got.qparams == want.qparams
+    assert np.array_equal(got.data, want.data)
+
+
+ONE_THREAD = optimized.OptimizedBackend(1)
+FOUR_THREADS = optimized.OptimizedBackend(4)
+
+
+@given(conv_shapes(), seeds)
+@SETTINGS
+def test_optimized_conv2d_matches_reference_at_any_thread_count(shapes, seed):
+    x_shape, w_shape, stride, padding = shapes
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.uniform(-1, 1, x_shape).astype(np.float32))
+    wt = Tensor(rng.uniform(-1, 1, w_shape).astype(np.float32))
+    b = Tensor(rng.uniform(-1, 1, (1, 1, 1, w_shape[3])).astype(np.float32))
+    want = reference.conv2d(x, wt, b, stride, padding)
+    got = ONE_THREAD.conv2d(x, wt, b, stride, padding)
+    scale = max(1.0, float(np.abs(want.data).max()))
+    assert float(np.abs(got.data - want.data).max()) / scale <= 1e-4
+    assert np.array_equal(FOUR_THREADS.conv2d(x, wt, b, stride, padding).data,
+                          got.data)

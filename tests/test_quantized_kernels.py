@@ -107,6 +107,46 @@ def test_integer_gemm_agrees_with_reference_exactly():
         assert np.array_equal(ya.data, yb.data)
 
 
+# Largest accumulators the config caps allow: every centered input code is
+# 0 - 255 and every centered weight code 255.  The bias cancels all but a
+# few units, so one unit lost anywhere in the accumulation moves an output
+# code (the requantization multiplier is exactly 1).
+CAP_X_QP = QuantParams(0.5, 127)
+CAP_W_QP = QuantParams(0.5, -128)
+CAP_OUT_QP = QuantParams(0.25, 0)
+
+
+def _cap_operands(x_shape, w_shape):
+    x = Tensor(np.full(x_shape, -128, dtype=np.int8), INT8Q, CAP_X_QP)
+    w = Tensor(np.full(w_shape, 127, dtype=np.int8), INT8Q, CAP_W_QP)
+    return x, w
+
+
+def test_int8_accumulators_exact_at_config_cap():
+    k, c = reference.MAX_Q_KERNEL, reference.MAX_Q_CHANNELS
+    acc = -(255**2) * k * k * c
+    assert acc == -5_393_433_600  # beyond int32, within float64's 2**53
+    x, w = _cap_operands((1, k, k, c), (k, k, c, 2))
+    bias = np.array([-acc + 3, -acc - 5], dtype=np.int64)
+    for conv in (reference.qconv2d, quantized.qconv2d):
+        got = conv(x, w, bias, (1, 1), VALID, CAP_OUT_QP)
+        assert got.data.reshape(-1).tolist() == [3, -5]
+
+    dw_acc = -(255**2) * k * k
+    x, w = _cap_operands((1, k, k, 3), (k, k, 3, 1))
+    bias = np.array([-dw_acc + 1, -dw_acc + 2, -dw_acc - 4], dtype=np.int64)
+    for dw in (reference.qdepthwise_conv2d, quantized.qdepthwise_conv2d):
+        got = dw(x, w, bias, (1, 1), VALID, CAP_OUT_QP)
+        assert got.data.reshape(-1).tolist() == [1, 2, -4]
+
+    fc_acc = -(255**2) * c
+    x, w = _cap_operands((1, 1, 1, c), (1, 1, c, 2))
+    bias = np.array([-fc_acc + 5, -fc_acc - 7], dtype=np.int64)
+    for fc in (reference.qfully_connected, quantized.qfully_connected):
+        got = fc(x, w, bias, CAP_OUT_QP)
+        assert got.data.reshape(-1).tolist() == [5, -7]
+
+
 def test_qrelu_clamps_at_zero_point():
     qp = QuantParams(0.1, -10)
     codes = np.array([-128, -11, -10, -9, 0, 127], dtype=np.int8)

@@ -209,6 +209,40 @@ def test_load_suites_concatenated(tmp_path):
     assert suites[1].metadata["device_name"] == "b"
 
 
+GOLDEN_SUITE = (
+    '{"type": "header", "schema": "inferbench-suite-v1", '
+    '"device_name": "golden-host", "soc_name": "golden-soc"}\n'
+    '{"type": "measurement", "test_id": 1, "backend_id": "quantized", '
+    '"images_processed": 4, "per_image_ms": [12.5, 11.0, 10.25, 10.75], '
+    '"avg_ms": 10.5, "passed": true, "budget_s": 6.25, "start_ms": 0.0, '
+    '"notes": ""}\n'
+    '{"type": "measurement", "test_id": 6, "backend_id": "optimized", '
+    '"images_processed": 0, "per_image_ms": [], "avg_ms": null, '
+    '"passed": false, "budget_s": 12.5, "start_ms": 812.5, '
+    '"notes": "MemoryError: out of memory"}\n'
+    '{"type": "memory_probe", "max_resolution_units": 7, '
+    '"limiting_cause": "configured_cap", "bytes_at_limit": 250609664, '
+    '"backend_id": "optimized", "start_ms": 2048.0}\n'
+)
+
+
+def test_save_suite_writes_golden_text(tmp_path):
+    suite = SuiteResult(metadata={"schema": "inferbench-suite-v1",
+                                  "device_name": "golden-host",
+                                  "soc_name": "golden-soc"})
+    suite.measurements.append(Measurement(
+        1, "quantized", 4, [12.5, 11.0, 10.25, 10.75], 10.5, True, 6.25))
+    suite.measurements.append(Measurement(
+        6, "optimized", 0, [], None, False, 12.5, start_ms=812.5,
+        notes="MemoryError: out of memory"))
+    suite.memory_probe = MemoryProbeResult(
+        7, CONFIGURED_CAP, 250609664, "optimized", 2048.0)
+    path = tmp_path / "golden.jsonl"
+    save_suite(suite, path)
+    assert path.read_text(encoding="utf-8") == GOLDEN_SUITE
+    assert load_suite(path) == suite
+
+
 def test_allocation_failure_cause_without_cap():
     class ExplodingKernels:
         backend_id = "boom"

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -5,10 +7,12 @@ import pytest
 
 from inferbench.errors import WorkloadError
 from inferbench.graph import count_macs, count_params, execute, validate
-from inferbench.kernels import optimized
-from inferbench.tensor import FLOAT32, INT8Q
+from inferbench.kernels import KernelSet, optimized
+from inferbench.kernels.shapes import stride_hw
+from inferbench.tensor import FLOAT32, INT8Q, Tensor
 from inferbench.workloads import (
     DEFAULT_BUDGETS_S,
+    DEFAULT_SEED,
     all_default_specs,
     generate_input,
     graph_from_file,
@@ -241,3 +245,58 @@ def test_shipped_spec_files_load(tmp_path):
             want = [l["attrs"]["out_qp"].pop("scale") for l in shipped["layers"]]
             assert scales == pytest.approx(want, rel=1e-6)
         assert doc == shipped
+
+
+def _frozen_tiled_conv2d(x, w, bias, stride, padding):
+    """The optimized float conv's tiling and GEMM operands, written out
+    without the shared ``im2col``: one ``block @ wm + b`` per tile of
+    ``_TILE_ELEMS // ow`` output rows of one image."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from inferbench.kernels.reference import _zero_pad
+    from inferbench.kernels.shapes import conv_out_hw
+    kh, kw, cin, cout = w.shape
+    oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
+    xp = _zero_pad(x.data, kh, kw, stride, padding)
+    v = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride[0], ::stride[1]]
+    wm = w.data.reshape(kh * kw * cin, cout)
+    b = bias.data.reshape(-1)
+    out = np.empty((x.shape[0], oh, ow, cout), dtype=np.float32)
+    rows = max(1, optimized._TILE_ELEMS // ow)
+    for n in range(x.shape[0]):
+        for r0 in range(0, oh, rows):
+            r1 = min(r0 + rows, oh)
+            block = np.ascontiguousarray(
+                v[n, r0:r1].transpose(0, 1, 3, 4, 2)).reshape(-1, kh * kw * cin)
+            out[n, r0:r1] = (block @ wm + b).reshape(r1 - r0, ow, cout)
+    return Tensor(out)
+
+
+def _node_digests(graph, x, kernels):
+    digests = {}
+
+    def observer(node_id, out):
+        digests[node_id] = hashlib.sha256(out.data.tobytes()).hexdigest()
+
+    execute(graph, x, kernels, observer=observer)
+    return digests
+
+
+def test_optimized_float_nodes_keep_their_bits():
+    """Every node of the nine float networks gives the frozen tiled conv's
+    bits, so test 1's calibrated ranges and output codes cannot move."""
+    kernels = optimized.make_kernel_set(1)
+    frozen = KernelSet("frozen", {
+        **kernels.ops,
+        ("conv2d", FLOAT32): lambda i, w, a: _frozen_tiled_conv2d(
+            i[0], w[0], w[1], stride_hw(a), a.get("padding", "same")),
+    })
+    for t in range(1, 10):
+        spec = _make_spec(t, 0.25, DEFAULT_SEED)
+        h, w = spec.input_resolution
+        graph = validate(BUILDERS[spec.architecture](h, w, WeightStream(spec.seed)))
+        # test 1 as its calibration pass runs it
+        seed = spec.seed ^ 0xCA11B if spec.quantized else spec.seed
+        x = generate_input(dataclasses.replace(spec, quantized=False), seed)
+        want = _node_digests(graph, x, frozen)
+        assert _node_digests(graph, x, kernels) == want, f"test {t}"
