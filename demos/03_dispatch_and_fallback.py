@@ -6,7 +6,6 @@ Run: python3 demos/03_dispatch_and_fallback.py
 from inferbench.dispatch import (
     OPTIMIZED,
     QUANTIZED,
-    BackendCapability,
     BackendRegistry,
     default_registry,
 )
@@ -37,9 +36,8 @@ opt = optimized.make_kernel_set(1)
 crippled = KernelSet("crippled", {k: v for k, v in opt.ops.items()
                                   if k[0] != "relu"})
 reg = BackendRegistry()
-ref = reference.make_kernel_set()
-reg.register(BackendCapability(ref.backend_id, ref.supported_ops()), ref)
-reg.register(BackendCapability("crippled", crippled.supported_ops()), crippled)
+reg.register(reference.make_kernel_set())
+reg.register(crippled)
 decision = reg.select_backend(graph5, "crippled")
 print(f"crippled backend on test 5: {decision.chosen_backend_id} "
       f"({decision.reason} at {decision.node_id!r})")

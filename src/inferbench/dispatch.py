@@ -1,8 +1,10 @@
 """Backend registry and whole-graph dispatch with CPU-reference fallback.
 
-A graph runs on the preferred backend only if that backend supports every
-(op, dtype) pair the graph uses; otherwise the entire graph falls back to
-the total-coverage reference backend.  There is no per-node partitioning.
+A backend is declared once, by its kernel table: it supports exactly the
+(op, dtype) pairs its ``KernelSet`` holds.  A graph runs on the preferred
+backend only if that table holds every pair the graph uses; otherwise the
+entire graph falls back to the total-coverage reference backend.  There is
+no per-node partitioning.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import numpy as np
 
 from .errors import DispatchError
 from .graph import Graph, execute
-from .kernels import KernelSet
-from .kernels import optimized, quantized, reference
-from .tensor import FLOAT32, INT8Q
+from .kernels import KernelSet, optimized, quantized, reference
+from .tensor import INT8Q
 
 REFERENCE = "reference"
 OPTIMIZED = "optimized"
@@ -23,14 +24,6 @@ QUANTIZED = "quantized"
 
 ALL_OPS_SUPPORTED = "all_ops_supported"
 FALLBACK_UNSUPPORTED_OP = "fallback_unsupported_op"
-FORCED_BY_FLAG = "forced_by_flag"
-
-
-@dataclass(frozen=True)
-class BackendCapability:
-    backend_id: str
-    supported_ops: frozenset  # of (op_kind, dtype) pairs
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -47,21 +40,15 @@ class BackendRegistry:
     def __init__(self):
         self._backends = {}
 
-    def register(self, capability: BackendCapability, kernels: KernelSet):
-        if capability.backend_id in self._backends:
-            raise DispatchError(f"duplicate backend id {capability.backend_id!r}")
-        self._backends[capability.backend_id] = (capability, kernels)
+    def register(self, kernels: KernelSet):
+        if kernels.backend_id in self._backends:
+            raise DispatchError(f"duplicate backend id {kernels.backend_id!r}")
+        self._backends[kernels.backend_id] = kernels
 
     def ids(self):
         return list(self._backends)
 
-    def capability(self, backend_id) -> BackendCapability:
-        return self._get(backend_id)[0]
-
     def kernels(self, backend_id) -> KernelSet:
-        return self._get(backend_id)[1]
-
-    def _get(self, backend_id):
         try:
             return self._backends[backend_id]
         except KeyError:
@@ -69,10 +56,10 @@ class BackendRegistry:
 
     def select_backend(self, graph: Graph, preferred: str) -> DispatchDecision:
         """Whole-graph rule: any unsupported op forces reference fallback."""
-        cap = self.capability(preferred)
+        kernels = self.kernels(preferred)
         dtype = graph.dtype_profile
         for node in graph.spec.nodes:
-            if (node.op_kind, dtype) not in cap.supported_ops:
+            if not kernels.supports(node.op_kind, dtype):
                 return DispatchDecision(
                     REFERENCE, FALLBACK_UNSUPPORTED_OP, node.id, node.op_kind
                 )
@@ -93,12 +80,6 @@ class BackendRegistry:
         return float(np.abs(ya.data - yb.data).max())
 
 
-def _capability(kernels: KernelSet, description):
-    return BackendCapability(
-        kernels.backend_id, kernels.supported_ops(), description
-    )
-
-
 def default_registry(threads: int = 1) -> BackendRegistry:
     """Registry with the three built-in backends.
 
@@ -107,10 +88,7 @@ def default_registry(threads: int = 1) -> BackendRegistry:
     quantized: integer GEMM path for int8q graphs.
     """
     reg = BackendRegistry()
-    ref = reference.make_kernel_set()
-    opt = optimized.make_kernel_set(threads)
-    qnt = quantized.make_kernel_set()
-    reg.register(_capability(ref, "naive loop kernels, correctness oracle"), ref)
-    reg.register(_capability(opt, "tiled im2col/GEMM float kernels"), opt)
-    reg.register(_capability(qnt, "integer GEMM int8 kernels"), qnt)
+    reg.register(reference.make_kernel_set())
+    reg.register(optimized.make_kernel_set(threads))
+    reg.register(quantized.make_kernel_set())
     return reg

@@ -6,14 +6,7 @@ class InferBenchError(Exception):
 
 
 class ShapeError(InferBenchError):
-    """A kernel was called with incompatible tensor shapes.
-
-    ``dimension`` names the offending axis so callers can report it.
-    """
-
-    def __init__(self, message, dimension=None):
-        super().__init__(message)
-        self.dimension = dimension
+    """A kernel was called with incompatible tensor shapes."""
 
 
 class QuantizationError(InferBenchError):

@@ -64,22 +64,18 @@ def _infer_shape(node, in_shapes, weights):
         if kind == "depthwise_conv2d":
             if cout != 1 or x[3] != cin:
                 raise ShapeError(
-                    f"depthwise channels {cin} incompatible with input {x[3]}",
-                    dimension="channels",
+                    f"depthwise channels {cin} incompatible with input {x[3]}"
                 )
             cout = cin
         elif x[3] != cin:
-            raise ShapeError(
-                f"input channels {x[3]} != weight Cin {cin}", dimension="channels"
-            )
+            raise ShapeError(f"input channels {x[3]} != weight Cin {cin}")
         oh, ow = conv_out_hw(x[1:3], (kh, kw), stride_hw(a), a.get("padding", SAME))
         return (x[0], oh, ow, cout)
     if kind == "fully_connected":
         rows, cols = weights[0].shape[-2], weights[0].shape[-1]
         if x[1] * x[2] * x[3] != rows:
             raise ShapeError(
-                f"flattened input {x[1] * x[2] * x[3]} != weight rows {rows}",
-                dimension="rows",
+                f"flattened input {x[1] * x[2] * x[3]} != weight rows {rows}"
             )
         return (x[0], 1, 1, cols)
     if kind == "pool":
@@ -184,8 +180,14 @@ def validate(spec: GraphSpec) -> Graph:
                     f"node {node.id!r} references missing weight {ref!r}",
                     node_id=node.id,
                 )
-        if spec.dtype_profile == INT8Q and node.op_kind in _WEIGHT_COUNT:
-            if spec.weights[node.weight_refs[0]].dtype != INT8Q:
+        if spec.dtype_profile == INT8Q:
+            if node.attributes.get("out_qp") is None:
+                raise GraphValidationError(
+                    f"node {node.id!r}: int8 profile needs attribute 'out_qp'",
+                    node_id=node.id,
+                )
+            if (node.op_kind in _WEIGHT_COUNT
+                    and spec.weights[node.weight_refs[0]].dtype != INT8Q):
                 raise GraphValidationError(
                     f"node {node.id!r}: weight dtype does not match int8 profile",
                     node_id=node.id,
@@ -238,11 +240,6 @@ def execute(graph: Graph, x: Tensor, kernels, observer=None) -> Tensor:
         weights = [spec.weights[r] for r in node.weight_refs]
         try:
             out = kernels.apply(node.op_kind, dtype, ins, weights, node.attributes)
-        except KeyError:
-            raise ExecutionError(
-                f"backend {kernels.backend_id!r} lacks ({node.op_kind}, {dtype})",
-                node_id=node.id,
-            ) from None
         except MemoryError:
             # allocation failure is a real signal (memory probe), not a bug
             raise

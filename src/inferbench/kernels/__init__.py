@@ -1,10 +1,12 @@
 """Kernel sets: uniform operator tables consumed by the graph executor.
 
 A kernel set maps (op_kind, dtype) pairs to callables with the uniform
-signature ``fn(inputs, weights, attrs) -> Tensor``.  The set of keys doubles
-as the backend's capability declaration for dispatch.
+signature ``fn(inputs, weights, attrs) -> Tensor``.  The table is the whole
+declaration of a backend: dispatch runs a graph on it only if its keys hold
+every (op, dtype) pair the graph uses.
 """
 
+from ..errors import ExecutionError
 from ..tensor import FLOAT32, INT8Q
 from .shapes import SAME, VALID
 
@@ -28,14 +30,16 @@ class KernelSet:
         self.backend_id = backend_id
         self.ops = dict(ops)
 
-    def supported_ops(self):
-        return frozenset(self.ops)
-
     def supports(self, op_kind, dtype):
         return (op_kind, dtype) in self.ops
 
     def apply(self, op_kind, dtype, inputs, weights, attrs):
-        fn = self.ops[(op_kind, dtype)]
+        try:
+            fn = self.ops[(op_kind, dtype)]
+        except KeyError:
+            raise ExecutionError(
+                f"backend {self.backend_id!r} lacks ({op_kind}, {dtype})"
+            ) from None
         return fn(inputs, weights, attrs)
 
 

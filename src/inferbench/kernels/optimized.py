@@ -93,8 +93,7 @@ class OptimizedBackend:
         return Tensor(out)
 
     def fully_connected(self, x, w, bias):
-        wm = w.data if isinstance(w, Tensor) else np.asarray(w, dtype=np.float32)
-        wm = wm.reshape(wm.shape[-2], wm.shape[-1]) if wm.ndim == 4 else wm
+        wm = w.data.reshape(w.shape[-2], w.shape[-1])
         flat = x.data.reshape(x.shape[0], -1)
         _check_fc_rows(flat, wm.shape[0])
         b = _as_vec(bias, wm.shape[1]).astype(np.float32)
@@ -127,7 +126,7 @@ class OptimizedBackend:
 
     def resize_bilinear(self, x, out_h, out_w):
         if out_h < 1 or out_w < 1:
-            raise ShapeError("output extents must be >= 1", dimension="spatial")
+            raise ShapeError("output extents must be >= 1")
         n, h, w, c = x.shape
         if (out_h, out_w) == (h, w):
             return Tensor(x.data.copy())

@@ -22,7 +22,7 @@ def _as_vec(bias, n):
     b = bias.data if isinstance(bias, Tensor) else np.asarray(bias)
     b = b.reshape(-1)
     if b.size != n:
-        raise ShapeError(f"bias length {b.size} != channels {n}", dimension="channels")
+        raise ShapeError(f"bias length {b.size} != channels {n}")
     return b
 
 
@@ -30,27 +30,18 @@ def _check_conv_shapes(x, w, depthwise=False):
     kh, kw, cin, cout = w.shape
     if depthwise:
         if cout != 1:
-            raise ShapeError(
-                f"depthwise weights need trailing extent 1, got {cout}",
-                dimension="channel_multiplier",
-            )
+            raise ShapeError(f"depthwise weights need trailing extent 1, got {cout}")
         if x.shape[3] != cin:
-            raise ShapeError(
-                f"input channels {x.shape[3]} != depthwise channels {cin}",
-                dimension="channels",
-            )
+            raise ShapeError(f"input channels {x.shape[3]} != depthwise channels {cin}")
     elif x.shape[3] != cin:
-        raise ShapeError(
-            f"input channels {x.shape[3]} != weight Cin {cin}", dimension="channels"
-        )
+        raise ShapeError(f"input channels {x.shape[3]} != weight Cin {cin}")
     return kh, kw, cin, cout
 
 
 def _check_fc_rows(flat, rows):
     if flat.shape[1] != rows:
         raise ShapeError(
-            f"flattened input length {flat.shape[1]} != weight rows {rows}",
-            dimension="rows",
+            f"flattened input length {flat.shape[1]} != weight rows {rows}"
         )
 
 
@@ -100,10 +91,9 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias, stride=(1, 1), padding=SAME) ->
     return Tensor(out)
 
 
-def fully_connected(x: Tensor, w, bias) -> Tensor:
+def fully_connected(x: Tensor, w: Tensor, bias) -> Tensor:
     """Affine map on the flattened input, float32 accumulation."""
-    wm = w.data if isinstance(w, Tensor) else np.asarray(w, dtype=np.float32)
-    wm = wm.reshape(wm.shape[-2], wm.shape[-1]) if wm.ndim == 4 else wm
+    wm = w.data.reshape(w.shape[-2], w.shape[-1])
     flat = x.data.reshape(x.shape[0], -1)
     _check_fc_rows(flat, wm.shape[0])
     b = _as_vec(bias, wm.shape[1]).astype(np.float32)
@@ -157,7 +147,7 @@ def _avg_patch(patch):
 def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear sampling with src = dst * (in/out) (align-corners false)."""
     if out_h < 1 or out_w < 1:
-        raise ShapeError("output extents must be >= 1", dimension="spatial")
+        raise ShapeError("output extents must be >= 1")
     n, h, w, c = x.shape
     data = x.data.astype(np.float32) if x.dtype == FLOAT32 else dequantize(x).data
     out = np.empty((n, out_h, out_w, c), dtype=np.float32)
@@ -328,7 +318,7 @@ def qresize_bilinear(x: Tensor, out_h, out_w, out_qp) -> Tensor:
 
 def qpool(x: Tensor, kind, window, stride, padding, out_qp) -> Tensor:
     out = pool(x, kind, window, stride, padding)
-    if out_qp is None or out_qp == x.qparams:
+    if out_qp == x.qparams:
         return out
     return quantize(dequantize(out), out_qp)
 
@@ -336,33 +326,36 @@ def qpool(x: Tensor, kind, window, stride, padding, out_qp) -> Tensor:
 # --- uniform adapters -----------------------------------------------------
 
 
+def _conv_args(i, w, a):
+    return i[0], w[0], w[1], stride_hw(a), a.get("padding", SAME)
+
+
+# op -> the math function's leading arguments for one node, decoded from its
+# (inputs, weights, attrs); an int8 kernel also takes the node's out_qp last.
+_NODE_ARGS = {
+    "conv2d": _conv_args,
+    "depthwise_conv2d": _conv_args,
+    "fully_connected": lambda i, w, a: (i[0], w[0], w[1]),
+    "pool": lambda i, w, a: (
+        i[0], a["kind"], a.get("window"), a.get("pool_stride"),
+        a.get("padding", VALID),
+    ),
+    "resize_bilinear": lambda i, w, a: (i[0], a["out_h"], a["out_w"]),
+    "add": lambda i, w, a: (i[0], i[1]),
+    "relu": lambda i, w, a: (i[0],),
+    "concat_channels": lambda i, w, a: (i,),
+    "softmax": lambda i, w, a: (i[0],),
+}
+
+
+def _float_entry(fn, args):
+    return lambda i, w, a: fn(*args(i, w, a))
+
+
 def float_adapters(funcs):
     """Build the uniform (inputs, weights, attrs) table from math functions."""
-    return {
-        ("conv2d", FLOAT32): lambda i, w, a: funcs["conv2d"](
-            i[0], w[0], w[1], stride_hw(a), a.get("padding", SAME)
-        ),
-        ("depthwise_conv2d", FLOAT32): lambda i, w, a: funcs["depthwise_conv2d"](
-            i[0], w[0], w[1], stride_hw(a), a.get("padding", SAME)
-        ),
-        ("fully_connected", FLOAT32): lambda i, w, a: funcs["fully_connected"](
-            i[0], w[0], w[1]
-        ),
-        ("pool", FLOAT32): lambda i, w, a: funcs["pool"](
-            i[0],
-            a["kind"],
-            a.get("window"),
-            a.get("pool_stride"),
-            a.get("padding", VALID),
-        ),
-        ("resize_bilinear", FLOAT32): lambda i, w, a: funcs["resize_bilinear"](
-            i[0], a["out_h"], a["out_w"]
-        ),
-        ("add", FLOAT32): lambda i, w, a: funcs["add"](i[0], i[1]),
-        ("relu", FLOAT32): lambda i, w, a: funcs["relu"](i[0]),
-        ("concat_channels", FLOAT32): lambda i, w, a: funcs["concat_channels"](i),
-        ("softmax", FLOAT32): lambda i, w, a: funcs["softmax"](i[0]),
-    }
+    return {(op, FLOAT32): _float_entry(funcs[op], args)
+            for op, args in _NODE_ARGS.items()}
 
 
 def _qbias(w, bias, x):
@@ -371,33 +364,30 @@ def _qbias(w, bias, x):
     return quantize_bias(bias, x.qparams, w.qparams)
 
 
+def _int8_entry(fn, args):
+    def run(i, w, a):
+        if w:  # the real-valued bias goes int32, at the accumulator scale
+            w = (w[0], _qbias(w[0], w[1], i[0]))
+        return fn(*args(i, w, a), a["out_qp"])
+
+    return run
+
+
+_SHARED_INT8 = {
+    "pool": qpool,
+    "resize_bilinear": qresize_bilinear,
+    "add": qadd,
+    "concat_channels": qconcat_channels,
+    "softmax": qsoftmax,
+}
+
+
 def int8_adapters(funcs):
     """int8 table; ``funcs`` holds the backend's conv2d, depthwise_conv2d,
     fully_connected and relu, the other ops are shared."""
-    return {
-        ("conv2d", INT8Q): lambda i, w, a: funcs["conv2d"](
-            i[0], w[0], _qbias(w[0], w[1], i[0]), stride_hw(a),
-            a.get("padding", SAME), a["out_qp"],
-        ),
-        ("depthwise_conv2d", INT8Q): lambda i, w, a: funcs["depthwise_conv2d"](
-            i[0], w[0], _qbias(w[0], w[1], i[0]), stride_hw(a),
-            a.get("padding", SAME), a["out_qp"],
-        ),
-        ("fully_connected", INT8Q): lambda i, w, a: funcs["fully_connected"](
-            i[0], w[0], _qbias(w[0], w[1], i[0]), a["out_qp"]
-        ),
-        ("pool", INT8Q): lambda i, w, a: qpool(
-            i[0], a["kind"], a.get("window"), a.get("pool_stride"),
-            a.get("padding", VALID), a.get("out_qp"),
-        ),
-        ("resize_bilinear", INT8Q): lambda i, w, a: qresize_bilinear(
-            i[0], a["out_h"], a["out_w"], a["out_qp"]
-        ),
-        ("add", INT8Q): lambda i, w, a: qadd(i[0], i[1], a["out_qp"]),
-        ("relu", INT8Q): lambda i, w, a: funcs["relu"](i[0], a["out_qp"]),
-        ("concat_channels", INT8Q): lambda i, w, a: qconcat_channels(i, a["out_qp"]),
-        ("softmax", INT8Q): lambda i, w, a: qsoftmax(i[0], a["out_qp"]),
-    }
+    funcs = {**_SHARED_INT8, **funcs}
+    return {(op, INT8Q): _int8_entry(funcs[op], args)
+            for op, args in _NODE_ARGS.items()}
 
 
 _FLOAT_FUNCS = {

@@ -17,10 +17,7 @@ def out_extent(in_e, k, stride, padding):
         return -(-in_e // stride)
     if padding == VALID:
         if in_e < k:
-            raise ShapeError(
-                f"valid padding needs extent >= kernel ({in_e} < {k})",
-                dimension="spatial",
-            )
+            raise ShapeError(f"valid padding needs extent >= kernel ({in_e} < {k})")
         return (in_e - k) // stride + 1
     raise ValueError(f"unknown padding {padding!r}")
 

@@ -8,6 +8,7 @@ and the budget.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import platform
@@ -32,8 +33,8 @@ CONFIGURED_CAP = "configured_cap"
 class SimulatedClock:
     """Deterministic monotonic clock; time moves only via ``advance``."""
 
-    def __init__(self, start=0.0):
-        self.t = float(start)
+    def __init__(self):
+        self.t = 0.0
 
     def __call__(self):
         return self.t
@@ -124,7 +125,7 @@ def predict_probe_bytes(side_px, seed=DEFAULT_SEED) -> int:
     return peak_activation_bytes(graph)
 
 
-def run_memory_probe(kernels, start_units=1, step_units=1, mem_cap_bytes=None,
+def run_memory_probe(kernels, mem_cap_bytes=None,
                      seed=DEFAULT_SEED) -> MemoryProbeResult:
     """Run the deblurring network on growing square inputs until failure.
 
@@ -132,13 +133,10 @@ def run_memory_probe(kernels, start_units=1, step_units=1, mem_cap_bytes=None,
     its live activations exceed the configured cap, or when allocation
     actually fails; the last successful size is reported.
     """
-    if start_units < 1 or step_units < 1:
-        raise ValueError("start_units and step_units must be >= 1")
     last_ok = 0
     bytes_at_limit = 0
     cause = ALLOCATION_FAILURE
-    k = start_units
-    while True:
+    for k in itertools.count(1):
         side = 100 * k
         predicted = predict_probe_bytes(side, seed)
         if mem_cap_bytes is not None and predicted > mem_cap_bytes:
@@ -150,11 +148,9 @@ def run_memory_probe(kernels, start_units=1, step_units=1, mem_cap_bytes=None,
         try:
             execute(graph, x, kernels)
         except MemoryError:
-            cause = ALLOCATION_FAILURE
-            break
+            break  # cause stays ALLOCATION_FAILURE
         last_ok = k
         bytes_at_limit = predicted
-        k += step_units
     return MemoryProbeResult(
         max_resolution_units=last_ok,
         limiting_cause=cause,
@@ -192,8 +188,8 @@ def preferred_backend(test_id, spec, configured) -> str:
     return configured
 
 
-def run_suite(config: SuiteConfig, clock=time.monotonic, registry=None,
-              progress=None) -> SuiteResult:
+def run_suite(config: SuiteConfig, clock=time.monotonic,
+              registry=None) -> SuiteResult:
     """Tests 1..8 under dispatch, then the memory probe."""
     if registry is None:
         registry = default_registry(config.threads)
@@ -233,8 +229,6 @@ def run_suite(config: SuiteConfig, clock=time.monotonic, registry=None,
                     f"{decision.node_id} ({decision.op_kind})")
             m.notes = f"{m.notes}; {note}" if m.notes else note
         suite.measurements.append(m)
-        if progress is not None:
-            progress(m)
     # memory probe reuses the deblurring graph under the same dispatch rule
     graph9, spec9 = instantiate(9, config.scale, config.seed)
     decision = registry.select_backend(
@@ -247,8 +241,6 @@ def run_suite(config: SuiteConfig, clock=time.monotonic, registry=None,
     )
     probe.start_ms = (clock() - t0) * 1000.0
     suite.memory_probe = probe
-    if progress is not None:
-        progress(probe)
     return suite
 
 

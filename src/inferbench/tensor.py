@@ -46,14 +46,10 @@ class Tensor:
 
     __slots__ = ("shape", "dtype", "data", "qparams")
 
-    def __init__(self, data, dtype=FLOAT32, qparams=None, shape=None):
+    def __init__(self, data, dtype=FLOAT32, qparams=None):
         arr = np.asarray(data)
-        if shape is not None:
-            arr = arr.reshape(shape)
         if arr.ndim != 4:
-            raise ShapeError(
-                f"tensors are rank-4 NHWC, got rank {arr.ndim}", dimension="rank"
-            )
+            raise ShapeError(f"tensors are rank-4 NHWC, got rank {arr.ndim}")
         if any(e < 1 for e in arr.shape):
             raise ShapeError(f"all extents must be >= 1, got {arr.shape}")
         if dtype == FLOAT32:

@@ -15,7 +15,6 @@ from inferbench.dispatch import (
     OPTIMIZED,
     QUANTIZED,
     REFERENCE,
-    BackendCapability,
     BackendRegistry,
     default_registry,
 )
@@ -319,11 +318,8 @@ def test_criterion_08_dispatch_fallback():
     crippled_ops = {k: v for k, v in opt.ops.items() if k[0] != "relu"}
     crippled = KernelSet("crippled", crippled_ops)
     reg2 = BackendRegistry()
-    reg2.register(BackendCapability(REFERENCE,
-                                    reference.make_kernel_set().supported_ops()),
-                  reference.make_kernel_set())
-    reg2.register(BackendCapability("crippled", crippled.supported_ops()),
-                  crippled)
+    reg2.register(reference.make_kernel_set())
+    reg2.register(crippled)
     ok = True
     for t in range(1, 10):
         graph, spec = instantiate(t, scale=0.1)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from inferbench.dispatch import (
     OPTIMIZED,
     QUANTIZED,
     REFERENCE,
-    BackendCapability,
     BackendRegistry,
     default_registry,
 )
@@ -47,11 +48,11 @@ def test_full_support_selects_preferred():
 def test_single_missing_op_forces_whole_graph_fallback():
     reg = BackendRegistry()
     ref = reference.make_kernel_set()
-    reg.register(BackendCapability(REFERENCE, ref.supported_ops()), ref)
+    reg.register(ref)
     partial_ops = {k: v for k, v in ref.ops.items()
                    if not (k == ("relu", FLOAT32))}
     partial = KernelSet("partial", partial_ops)
-    reg.register(BackendCapability("partial", partial.supported_ops()), partial)
+    reg.register(partial)
     decision = reg.select_backend(_conv_relu_graph(), "partial")
     assert decision.chosen_backend_id == REFERENCE
     assert decision.reason == FALLBACK_UNSUPPORTED_OP
@@ -79,15 +80,48 @@ def test_optimized_backend_rejects_int8_graphs():
 def test_duplicate_backend_registration_rejected():
     reg = BackendRegistry()
     ref = reference.make_kernel_set()
-    reg.register(BackendCapability(REFERENCE, ref.supported_ops()), ref)
+    reg.register(ref)
     with pytest.raises(DispatchError):
-        reg.register(BackendCapability(REFERENCE, ref.supported_ops()), ref)
+        reg.register(ref)
 
 
 def test_unknown_backend_rejected():
     reg = default_registry()
     with pytest.raises(DispatchError):
         reg.kernels("tpu")
+
+
+# (test id, preferred backend) -> (chosen backend, reason, node id, op kind)
+# at scale 0.1: the first node a backend's table lacks stops the walk.
+_FALLBACK = FALLBACK_UNSUPPORTED_OP
+DECISIONS = {
+    (1, REFERENCE): (REFERENCE, ALL_OPS_SUPPORTED, None, None),
+    (1, OPTIMIZED): (REFERENCE, _FALLBACK, "conv0", "conv2d"),
+    (1, QUANTIZED): (QUANTIZED, ALL_OPS_SUPPORTED, None, None),
+    (2, QUANTIZED): (REFERENCE, _FALLBACK, "stem1", "conv2d"),
+    (3, QUANTIZED): (REFERENCE, _FALLBACK, "stem1", "conv2d"),
+    (4, QUANTIZED): (REFERENCE, _FALLBACK, "conv1", "conv2d"),
+    (5, QUANTIZED): (REFERENCE, _FALLBACK, "conv1", "conv2d"),
+    (6, QUANTIZED): (REFERENCE, _FALLBACK, "down", "resize_bilinear"),
+    (7, QUANTIZED): (REFERENCE, _FALLBACK, "q_down", "resize_bilinear"),
+    (8, QUANTIZED): (REFERENCE, _FALLBACK, "head", "conv2d"),
+    (9, QUANTIZED): (REFERENCE, _FALLBACK, "conv1", "conv2d"),
+}
+for _t in range(2, 10):
+    for _b in (REFERENCE, OPTIMIZED):
+        DECISIONS[(_t, _b)] = (_b, ALL_OPS_SUPPORTED, None, None)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_graph(test_id):
+    return instantiate(test_id, scale=0.1)[0]
+
+
+@pytest.mark.parametrize("test_id,preferred", sorted(DECISIONS))
+def test_dispatch_decisions_on_every_workload(test_id, preferred):
+    d = default_registry(1).select_backend(_small_graph(test_id), preferred)
+    assert (d.chosen_backend_id, d.reason, d.node_id, d.op_kind) == \
+        DECISIONS[(test_id, preferred)]
 
 
 def test_equivalence_check_float_small_graph():

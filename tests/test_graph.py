@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from inferbench.graph import (
 )
 from inferbench.kernels import KernelSet, reference
 from inferbench.tensor import Tensor
+from inferbench.workloads import instantiate
 
 import oracles
 
@@ -135,6 +138,50 @@ def test_execute_reports_missing_kernel():
     x = Tensor(np.zeros((1, 6, 6, 3), dtype=np.float32))
     with pytest.raises(ExecutionError, match="relu"):
         execute(g, x, crippled)
+
+
+def test_kernel_set_apply_reports_an_absent_op():
+    crippled = KernelSet("partial", {})
+    x = Tensor(np.zeros((1, 2, 2, 1), dtype=np.float32))
+    with pytest.raises(ExecutionError, match=r"'partial' lacks \(relu, float32\)"):
+        crippled.apply("relu", "float32", [x], [], {})
+
+
+def test_execute_reports_a_key_error_inside_a_kernel_as_a_node_failure():
+    def broken(inputs, weights, attrs):
+        return {}["table"]
+
+    ops = dict(KERNELS.ops)
+    ops[("relu", "float32")] = broken
+    x = Tensor(np.zeros((1, 6, 6, 3), dtype=np.float32))
+    with pytest.raises(ExecutionError) as info:
+        execute(validate(_simple_spec()), x, KernelSet("reference", ops))
+    assert info.value.node_id == "r1"
+    assert "lacks" not in str(info.value)
+    assert "'table'" in str(info.value)
+
+
+def _int8_spec_without_out_qp(node_id, value=...):
+    spec = instantiate(1, scale=0.1)[0].spec
+    nodes = []
+    for n in spec.nodes:
+        attrs = dict(n.attributes)
+        if n.id == node_id:
+            del attrs["out_qp"]
+            if value is not ...:
+                attrs["out_qp"] = value
+        nodes.append(OperatorNode(n.id, n.op_kind, n.input_ids, attrs,
+                                  n.weight_refs))
+    return replace(spec, nodes=nodes)
+
+
+@pytest.mark.parametrize("node_id", ["conv0", "avgpool"])
+def test_validate_rejects_int8_node_without_out_qp(node_id):
+    with pytest.raises(GraphValidationError, match=node_id) as info:
+        validate(_int8_spec_without_out_qp(node_id))
+    assert info.value.node_id == node_id
+    with pytest.raises(GraphValidationError, match="out_qp"):
+        validate(_int8_spec_without_out_qp(node_id, None))
 
 
 def test_execute_observer_sees_every_node():
