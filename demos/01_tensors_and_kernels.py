@@ -26,7 +26,7 @@ print("input:", x)
 # The reference backend is the correctness oracle; the optimized backend
 # computes the same convolution with tiled im2col + GEMM.
 ref = reference.make_kernel_set()
-opt = optimized.make_kernel_set(threads=2)
+opt = optimized.make_kernel_set()
 attrs = {"stride": (1, 1), "padding": "same"}
 y_ref = ref.apply("conv2d", FLOAT32, [x], [w, b], attrs)
 y_opt = opt.apply("conv2d", FLOAT32, [x], [w, b], attrs)

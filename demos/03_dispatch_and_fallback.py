@@ -13,7 +13,7 @@ from inferbench.kernels import KernelSet, optimized, reference
 from inferbench.runner import preferred_backend
 from inferbench.workloads import all_default_specs, instantiate
 
-registry = default_registry(threads=2)
+registry = default_registry()
 print("registered backends:", registry.ids())
 
 # The quantized image-recognition workload dispatches to the integer
@@ -32,7 +32,7 @@ print(f"test 5 (float32) preferring quantized: "
 
 # One missing op is enough: dropping relu from an otherwise complete
 # backend forces the whole graph onto the reference path.
-opt = optimized.make_kernel_set(1)
+opt = optimized.make_kernel_set()
 crippled = KernelSet("crippled", {k: v for k, v in opt.ops.items()
                                   if k[0] != "relu"})
 reg = BackendRegistry()

@@ -59,6 +59,17 @@ def _load_profile_arg(path):
     return load_profile(path if path else _default_profile_path())
 
 
+def _positive(kind):
+    """argparse type: a number of ``kind`` above zero."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="inferbench",
                 description="nine-test CNN inference benchmark harness")
@@ -67,12 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the full nine-test suite")
     run.add_argument("--backend", default="auto",
                      choices=["auto", REFERENCE, OPTIMIZED, QUANTIZED])
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=_positive(int), default=1,
+                     help="recorded in the result header")
     run.add_argument("--scale", type=float, default=1.0)
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    run.add_argument("--mem-cap", type=int, default=256 * 2**20,
+    run.add_argument("--mem-cap", type=_positive(int), default=256 * 2**20,
                      help="memory probe cap in bytes")
-    run.add_argument("--budget-scale", type=float, default=1.0)
+    run.add_argument("--budget-scale", type=_positive(float), default=1.0)
     run.add_argument("--out", default="results.jsonl")
     run.add_argument("--profile", default=None,
                      help="reference profile used for the printed score")
@@ -222,8 +234,10 @@ def cmd_inspect(args) -> int:
     print(f"other ops per image: {count_other_ops(graph):,}")
     print(f"peak live activation bytes: {peak_activation_bytes(graph):,}")
     # weight payloads for both precisions, built from the same seed
-    float_spec = BUILDERS[spec.architecture](h, w, WeightStream(args.seed))
-    float_graph = validate_graph(float_spec)
+    float_graph = graph
+    if spec.quantized:
+        float_graph = validate_graph(
+            BUILDERS[spec.architecture](h, w, WeightStream(args.seed)))
     fb = weight_bytes(float_graph)
     print(f"weight bytes (float32): {fb:,}")
     if spec.quantized:

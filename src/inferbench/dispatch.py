@@ -86,9 +86,12 @@ def default_registry(threads: int = 1) -> BackendRegistry:
     reference: naive loops, total coverage (float32 and int8q).
     optimized: tiled GEMM kernels, full float32 coverage, no int8.
     quantized: integer GEMM path for int8q graphs.
+
+    Every kernel runs on one Python thread, so ``threads`` changes nothing
+    here; only ``run_suite`` uses the value, to record it in the header.
     """
     reg = BackendRegistry()
     reg.register(reference.make_kernel_set())
-    reg.register(optimized.make_kernel_set(threads))
+    reg.register(optimized.make_kernel_set())
     reg.register(quantized.make_kernel_set())
     return reg

@@ -34,7 +34,7 @@ class DispatchError(InferBenchError):
 
 
 class WorkloadError(InferBenchError):
-    """Bad workload id, scale, or a spec file violating its invariants."""
+    """Bad workload id or scale, or a workload spec violating its invariants."""
 
 
 class ScoringError(InferBenchError):

@@ -138,11 +138,11 @@ def run_memory_probe(kernels, mem_cap_bytes=None,
     cause = ALLOCATION_FAILURE
     for k in itertools.count(1):
         side = 100 * k
-        predicted = predict_probe_bytes(side, seed)
+        graph = validate(build_srcnn(side, side, WeightStream(seed)))
+        predicted = peak_activation_bytes(graph)
         if mem_cap_bytes is not None and predicted > mem_cap_bytes:
             cause = CONFIGURED_CAP
             break
-        graph = validate(build_srcnn(side, side, WeightStream(seed)))
         vals = uniform_stream(seed + k, 0, side * side * 3, 0.0, 1.0)
         x = Tensor(vals.astype("float32").reshape(1, side, side, 3))
         try:

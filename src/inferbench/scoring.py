@@ -9,6 +9,7 @@ exactly the chosen total.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ScoringError
@@ -119,17 +120,31 @@ def save_profile(profile: ReferenceProfile, path):
         json.dump(doc, f, indent=1)
 
 
+def _finite_number(v):
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def load_profile(path) -> ReferenceProfile:
+    """Read a profile file, rejecting anything but finite numeric values."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ScoringError("profile file must hold a JSON object")
     try:
         profile = ReferenceProfile(
             name=doc["name"],
-            t_ref_ms=list(doc["t_ref_ms"]),
+            t_ref_ms=doc["t_ref_ms"],
             l_ref_units=doc["l_ref_units"],
-            weights=list(doc["weights"]),
+            weights=doc["weights"],
         )
     except KeyError as e:
         raise ScoringError(f"profile file missing field {e}") from None
+    for field_name in ("t_ref_ms", "weights"):
+        values = getattr(profile, field_name)
+        if not isinstance(values, list) or not all(map(_finite_number, values)):
+            raise ScoringError(f"profile {field_name} must be a list of finite numbers")
+    if not _finite_number(profile.l_ref_units):
+        raise ScoringError("profile l_ref_units must be a finite number")
     profile.validate()
     return profile

@@ -1,7 +1,8 @@
-"""The nine benchmark tests: canonical specs, instantiation, serialization.
+"""The nine benchmark tests: canonical specs and instantiation.
 
-Weights are always drawn from the SplitMix64 stream seeded by the workload
-seed, so any two builds with the same (test_id, scale, seed) are
+``instantiate(test_id, scale, seed)`` is the one definition of each
+workload: weights are always drawn from the SplitMix64 stream seeded by the
+workload seed, so any two builds with the same (test_id, scale, seed) are
 bit-identical.  Test 1 additionally runs a one-image float calibration pass
 to pick per-node activation quantization ranges before the graph is
 converted to int8.
@@ -9,15 +10,14 @@ converted to int8.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import WorkloadError
 from .graph import Graph, GraphSpec, OperatorNode, execute, validate
 from .kernels import optimized
-from .tensor import FLOAT32, INT8Q, QuantParams, Tensor, quantize, qparams_from_range
+from .tensor import INT8Q, QuantParams, Tensor, quantize, qparams_from_range
 from .zoo import BUILDERS, WeightStream, uniform_stream
 
 DEFAULT_SEED = 42
@@ -114,7 +114,7 @@ def _observe_ranges(graph, x):
     def observer(node_id, out):
         ranges[node_id] = (float(out.data.min()), float(out.data.max()))
 
-    execute(graph, x, optimized.make_kernel_set(1), observer=observer)
+    execute(graph, x, optimized.make_kernel_set(), observer=observer)
     return ranges
 
 
@@ -175,123 +175,6 @@ def generate_input(spec: WorkloadSpec, seed) -> Tensor:
     if spec.quantized:
         return quantize(t, INPUT_QPARAMS)
     return t
-
-
-# --- spec files -----------------------------------------------------------
-
-
-def _attrs_to_json(attrs):
-    out = {}
-    for k, v in attrs.items():
-        if isinstance(v, QuantParams):
-            out[k] = {"scale": v.scale, "zero_point": v.zero_point}
-        elif isinstance(v, tuple):
-            out[k] = list(v)
-        else:
-            out[k] = v
-    return out
-
-
-def _attrs_from_json(attrs):
-    out = {}
-    for k, v in attrs.items():
-        if k == "out_qp" and v is not None:
-            out[k] = QuantParams(scale=v["scale"], zero_point=v["zero_point"])
-        elif k in ("stride", "window", "pool_stride") and v is not None:
-            out[k] = tuple(v)
-        else:
-            out[k] = v
-    return out
-
-
-def serialize_spec(spec: WorkloadSpec, graph: Graph = None) -> dict:
-    """JSON-able workload document including the architecture layer list."""
-    if graph is None:
-        graph, spec = instantiate(spec.test_id, spec.scale, spec.seed)
-    gspec = graph.spec
-    layers = [
-        {
-            "id": n.id,
-            "op": n.op_kind,
-            "inputs": list(n.input_ids),
-            "attrs": _attrs_to_json(n.attributes),
-            "weights": [
-                {"name": r, "shape": list(gspec.weights[r].shape)}
-                for r in n.weight_refs
-            ],
-        }
-        for n in gspec.nodes
-    ]
-    doc = asdict(spec)
-    doc["input_resolution"] = list(spec.input_resolution)
-    doc["dtype_profile"] = gspec.dtype_profile
-    doc["output_id"] = gspec.output_id
-    doc["layers"] = layers
-    return doc
-
-
-def save_spec(spec: WorkloadSpec, path, graph: Graph = None):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(serialize_spec(spec, graph), f, indent=1)
-
-
-def load_spec(path) -> WorkloadSpec:
-    """Read and validate a workload spec file (metadata only)."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    try:
-        spec = WorkloadSpec(
-            test_id=doc["test_id"],
-            name=doc["name"],
-            architecture=doc["architecture"],
-            input_resolution=tuple(doc["input_resolution"]),
-            quantized=doc["quantized"],
-            accelerator_eligible=doc["accelerator_eligible"],
-            time_budget_s=doc["time_budget_s"],
-            scale=doc["scale"],
-            seed=doc["seed"],
-        )
-    except KeyError as e:
-        raise WorkloadError(f"spec file missing field {e}") from None
-    spec.validate()
-    return spec
-
-
-def graph_from_file(path) -> Graph:
-    """Rebuild the full graph from a spec file's layer list.
-
-    Float weights are regenerated from the stored seed in layer order;
-    int8 weight codes then follow deterministically from their min/max.
-    """
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    spec = load_spec(path)
-    stream = WeightStream(spec.seed)
-    weights = {}
-    nodes = []
-    for layer in doc["layers"]:
-        for wdoc in layer["weights"]:
-            weights[wdoc["name"]] = Tensor(stream.next(tuple(wdoc["shape"])))
-        nodes.append(
-            OperatorNode(
-                layer["id"], layer["op"], list(layer["inputs"]),
-                _attrs_from_json(layer["attrs"]),
-                [wdoc["name"] for wdoc in layer["weights"]],
-            )
-        )
-    dtype = INT8Q if doc["dtype_profile"] == INT8Q else FLOAT32
-    if dtype == INT8Q:
-        # Per-node activation qparams already live in the attrs; only the
-        # weight codes need rebuilding.
-        weights = _quantize_weights(weights)
-    return validate(GraphSpec(
-        name=doc["name"],
-        input_shape=(1, *spec.input_resolution, 3),
-        nodes=nodes,
-        output_id=doc["output_id"],
-        weights=weights,
-        dtype_profile=dtype,
-    ))
 
 
 def weight_bytes(graph: Graph) -> int:

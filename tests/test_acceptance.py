@@ -75,7 +75,7 @@ def test_criterion_01_kernel_oracle_suite():
     """>= 200 randomized shapes, 1e-6 relative float, 2 quanta quantized."""
     rng = np.random.default_rng(2024)
     ref = reference.make_kernel_set()
-    opt = optimized.make_kernel_set(2)
+    opt = optimized.make_kernel_set()
     qnt = quantized.make_kernel_set()
     t0 = time.perf_counter()
     checked = 0
@@ -237,13 +237,13 @@ def test_criterion_06_memory_probe():
     while predict_probe_bytes(100 * k) <= cap:
         expected = k
         k += 1
-    probe = run_memory_probe(optimized.make_kernel_set(4), mem_cap_bytes=cap)
+    probe = run_memory_probe(optimized.make_kernel_set(), mem_cap_bytes=cap)
     exact = probe.max_resolution_units == expected
 
     small_cap = int(predict_probe_bytes(300) * 1.1)
-    small = run_memory_probe(optimized.make_kernel_set(4),
+    small = run_memory_probe(optimized.make_kernel_set(),
                              mem_cap_bytes=small_cap)
-    doubled = run_memory_probe(optimized.make_kernel_set(4),
+    doubled = run_memory_probe(optimized.make_kernel_set(),
                                mem_cap_bytes=2 * small_cap)
     monotone = doubled.max_resolution_units >= small.max_resolution_units
 
@@ -313,7 +313,7 @@ def test_criterion_07_timing_protocol():
 
 def test_criterion_08_dispatch_fallback():
     reg = default_registry(1)
-    opt = optimized.make_kernel_set(1)
+    opt = optimized.make_kernel_set()
     # drop a single op from an otherwise complete float backend
     crippled_ops = {k: v for k, v in opt.ops.items() if k[0] != "relu"}
     crippled = KernelSet("crippled", crippled_ops)

@@ -38,7 +38,6 @@ CASES = [
     ("softmax", [(1, 1, 1, 5)], [], {}, ()),
 ]
 
-_OPT = optimized.OptimizedBackend(1)
 _SHARED_FLOAT = {op: getattr(reference, op)
                  for op in ("add", "relu", "concat_channels", "softmax")}
 _SHARED_INT8 = {
@@ -61,11 +60,11 @@ MATH = {
                 "relu": reference.qrelu, **_SHARED_INT8},
     },
     "optimized": {
-        FLOAT32: {"conv2d": _OPT.conv2d,
-                  "depthwise_conv2d": _OPT.depthwise_conv2d,
-                  "fully_connected": _OPT.fully_connected,
-                  "pool": _OPT.pool,
-                  "resize_bilinear": _OPT.resize_bilinear, **_SHARED_FLOAT},
+        FLOAT32: {"conv2d": optimized.conv2d,
+                  "depthwise_conv2d": optimized.depthwise_conv2d,
+                  "fully_connected": optimized.fully_connected,
+                  "pool": optimized.pool,
+                  "resize_bilinear": optimized.resize_bilinear, **_SHARED_FLOAT},
     },
     "quantized": {
         INT8Q: {"conv2d": quantized.qconv2d,
@@ -77,7 +76,7 @@ MATH = {
 
 KERNEL_SETS = {
     "reference": reference.make_kernel_set(),
-    "optimized": optimized.make_kernel_set(1),
+    "optimized": optimized.make_kernel_set(),
     "quantized": quantized.make_kernel_set(),
 }
 

@@ -49,6 +49,41 @@ def test_invalid_profile_is_validation_error(suite_file, tmp_path, capsys):
     assert main(["score", str(suite_file), "--profile", str(bad)]) == 3
 
 
+def _profile_doc(**changes):
+    return {"name": "x", "t_ref_ms": [100.0] * 8, "l_ref_units": 5.0,
+            "weights": [10.0] * 9, **changes}
+
+
+@pytest.mark.parametrize("command", ["score", "rank"])
+@pytest.mark.parametrize("doc, message", [
+    (_profile_doc(t_ref_ms=[float("nan")] + [100.0] * 7),
+     "t_ref_ms must be a list of finite numbers"),
+    (_profile_doc(t_ref_ms=["100"] * 8),
+     "t_ref_ms must be a list of finite numbers"),
+    (_profile_doc(l_ref_units=float("inf")),
+     "l_ref_units must be a finite number"),
+    ([100.0] * 8, "must hold a JSON object"),
+], ids=["nan-runtime", "string-runtime", "infinite-units", "not-an-object"])
+def test_profile_with_bad_values_is_validation_error(
+        suite_file, tmp_path, capsys, command, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(suite_file), "--profile", str(bad)]) == 3
+    out, err = capsys.readouterr()
+    assert message in err
+    assert "nan" not in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--threads", "0"), ("--budget-scale", "0"), ("--mem-cap", "-5"),
+])
+def test_run_rejects_a_value_not_above_zero(tmp_path, capsys, flag, value):
+    out = tmp_path / "r.jsonl"
+    assert main(["run", flag, value, "--out", str(out)]) == 1
+    assert f"argument {flag}: must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_score_command(suite_file, profile_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["score", str(suite_file), "--profile", str(profile_file),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from inferbench.errors import ShapeError
-from inferbench.kernels import OP_KINDS, optimized, reference
+from inferbench.kernels import OP_KINDS, KernelSet, optimized, reference
 from inferbench.kernels.shapes import SAME, VALID, conv_out_hw, out_extent
 from inferbench.tensor import FLOAT32, Tensor
 
@@ -27,8 +27,23 @@ def _conv_case():
     return n, h, w, cin, cout, kh, kw, (s, s), padding
 
 
-BACKENDS = [reference.make_kernel_set(), optimized.make_kernel_set(1),
-            optimized.make_kernel_set(4)]
+class _SmallTileKernels(KernelSet):
+    """The optimized kernels with a tile of 7 output positions, so the small
+    cases here span several tiles, most with a short last tile."""
+
+    def apply(self, op_kind, dtype, inputs, weights, attrs):
+        saved = optimized._TILE_ELEMS
+        optimized._TILE_ELEMS = 7
+        try:
+            return super().apply(op_kind, dtype, inputs, weights, attrs)
+        finally:
+            optimized._TILE_ELEMS = saved
+
+
+_OPT = optimized.make_kernel_set()
+# ids: reference, optimized0 (production tile grid), optimized1 (small tiles)
+BACKENDS = [reference.make_kernel_set(), _OPT,
+            _SmallTileKernels(_OPT.backend_id, _OPT.ops)]
 
 
 @pytest.mark.parametrize("kernels", BACKENDS, ids=lambda k: k.backend_id)
@@ -147,22 +162,9 @@ def test_conv_rejects_channel_mismatch():
         reference.conv2d(x, wt, None)
 
 
-def test_optimized_thread_count_is_bit_identical():
-    """Fixed tile grid: results must not change with the thread count."""
-    one = optimized.make_kernel_set(1)
-    four = optimized.make_kernel_set(4)
-    x = _rand((1, 40, 40, 8))
-    wt = _rand((3, 3, 8, 16))
-    b = _rand((1, 1, 1, 16))
-    attrs = {"stride": (1, 1), "padding": SAME}
-    y1 = one.apply("conv2d", FLOAT32, [Tensor(x)], [Tensor(wt), Tensor(b)], attrs)
-    y4 = four.apply("conv2d", FLOAT32, [Tensor(x)], [Tensor(wt), Tensor(b)], attrs)
-    assert np.array_equal(y1.data, y4.data)
-
-
 def test_backend_coverage():
     ref = reference.make_kernel_set()
-    opt = optimized.make_kernel_set(1)
+    opt = optimized.make_kernel_set()
     for op in OP_KINDS:
         assert ref.supports(op, FLOAT32)
         assert ref.supports(op, "int8q")

@@ -109,7 +109,7 @@ def test_probe_prediction_is_quadratic_in_side():
 
 
 def test_memory_probe_stops_at_configured_cap():
-    kernels = optimized.make_kernel_set(1)
+    kernels = optimized.make_kernel_set()
     b100 = predict_probe_bytes(100)
     cap = int(b100 * 4.5)  # allows 100 and 200 px, rejects 300
     probe = run_memory_probe(kernels, mem_cap_bytes=cap)
@@ -119,7 +119,7 @@ def test_memory_probe_stops_at_configured_cap():
 
 
 def test_memory_probe_monotone_in_cap():
-    kernels = optimized.make_kernel_set(1)
+    kernels = optimized.make_kernel_set()
     b100 = predict_probe_bytes(100)
     small = run_memory_probe(kernels, mem_cap_bytes=int(b100 * 1.5))
     large = run_memory_probe(kernels, mem_cap_bytes=int(b100 * 4.5))
