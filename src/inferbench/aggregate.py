@@ -16,7 +16,7 @@ from statistics import median
 
 from .errors import AggregationError
 from .runner import SuiteResult, load_suites
-from .scoring import ReferenceProfile, score_points
+from .scoring import ReferenceProfile, score_points, scored_runtimes
 
 MODIFIED_Z_CUTOFF = 3.5
 MAX_DROP_FRACTION = 0.3
@@ -113,15 +113,12 @@ def rank(records, group_by, profile: ReferenceProfile):
         groups.setdefault(key, []).append(rec)
     rows = []
     for key, recs in groups.items():
-        per_test = []
-        for t in range(1, 9):
-            samples = [
-                m.avg_ms
-                for rec in recs
-                for m in rec.suite.measurements
-                if m.test_id == t and m.passed and m.avg_ms
-            ]
-            per_test.append(_filtered_mean(samples))
+        samples = [[] for _ in range(8)]
+        for rec in recs:
+            for runtimes, ms in zip(samples, scored_runtimes(rec.suite)):
+                if ms is not None:
+                    runtimes.append(ms)
+        per_test = [_filtered_mean(runtimes) for runtimes in samples]
         mem_samples = [
             rec.suite.memory_probe.max_resolution_units
             for rec in recs

@@ -20,14 +20,8 @@ from .errors import InferBenchError
 from .graph import count_macs, count_other_ops, count_params, peak_activation_bytes
 from .runner import SuiteConfig, load_suite, run_suite, save_suite
 from .scoring import aggregate_score, calibrate_profile, load_profile, save_profile
-from .workloads import (
-    DEFAULT_SEED,
-    _DEFAULTS,
-    instantiate,
-    weight_bytes,
-)
-from .zoo import BUILDERS, WeightStream
-from .graph import validate as validate_graph
+from .tensor import DTYPE_WIDTH, FLOAT32
+from .workloads import DEFAULT_SEED, instantiate, weight_bytes
 from . import aggregate
 
 EXIT_OK = 0
@@ -59,12 +53,14 @@ def _load_profile_arg(path):
     return load_profile(path if path else _default_profile_path())
 
 
-def _positive(kind):
-    """argparse type: a number of ``kind`` above zero."""
+def _positive(kind, most=None):
+    """argparse type: a number of ``kind`` above zero, and at most ``most``."""
     def parse(text):
         value = kind(text)
         if not value > 0:
             raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        if most is not None and not value <= most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {text}")
         return value
     parse.__name__ = kind.__name__
     return parse
@@ -80,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["auto", REFERENCE, OPTIMIZED, QUANTIZED])
     run.add_argument("--threads", type=_positive(int), default=1,
                      help="recorded in the result header")
-    run.add_argument("--scale", type=float, default=1.0)
+    run.add_argument("--scale", type=_positive(float, most=1), default=1.0)
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     run.add_argument("--mem-cap", type=_positive(int), default=256 * 2**20,
                      help="memory probe cap in bytes")
@@ -215,8 +211,6 @@ def cmd_rank(args) -> int:
 
 def cmd_inspect(args) -> int:
     test_id = args.test_id
-    if test_id not in _DEFAULTS:
-        raise InferBenchError(f"unknown test id {test_id}")
     graph, spec = instantiate(test_id, args.scale, args.seed)
     h, w = spec.input_resolution
     print(f"test {test_id}: {spec.name} ({spec.architecture}), "
@@ -233,12 +227,8 @@ def cmd_inspect(args) -> int:
     print(f"multiply-adds per image: {count_macs(graph):,}")
     print(f"other ops per image: {count_other_ops(graph):,}")
     print(f"peak live activation bytes: {peak_activation_bytes(graph):,}")
-    # weight payloads for both precisions, built from the same seed
-    float_graph = graph
-    if spec.quantized:
-        float_graph = validate_graph(
-            BUILDERS[spec.architecture](h, w, WeightStream(args.seed)))
-    fb = weight_bytes(float_graph)
+    # the float network stores every weight and bias element as float32
+    fb = DTYPE_WIDTH[FLOAT32] * count_params(graph)
     print(f"weight bytes (float32): {fb:,}")
     if spec.quantized:
         qb = weight_bytes(graph)

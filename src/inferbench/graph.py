@@ -3,6 +3,9 @@
 A GraphSpec is an ordered list of operator nodes over a named weight store.
 Nodes may only reference earlier nodes or the graph input, so the list order
 is already a topological order and cycles are impossible by construction.
+``validate`` records each node's release list once (``Graph.releases``);
+``execute`` and ``peak_activation_bytes`` both walk it.  Window geometry
+lives in ``kernels.shapes``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from dataclasses import dataclass, field
 
 from .errors import ExecutionError, GraphValidationError, ShapeError
 from .kernels import OP_KINDS
-from .kernels.shapes import SAME, VALID, conv_out_hw, stride_hw
+from .kernels.shapes import (
+    SAME, VALID, conv_out_hw, extents_hw, pool_geometry, stride_hw,
+)
 from .tensor import DTYPE_WIDTH, FLOAT32, INT8Q, Tensor
 
 INPUT_ID = "input"
@@ -79,14 +84,11 @@ def _infer_shape(node, in_shapes, weights):
             )
         return (x[0], 1, 1, cols)
     if kind == "pool":
-        window = a.get("window")
-        if window is None:
-            return (x[0], 1, 1, x[3])
-        stride = a.get("pool_stride") or tuple(window)
-        oh, ow = conv_out_hw(x[1:3], tuple(window), tuple(stride), a.get("padding", VALID))
+        *_, (oh, ow) = pool_geometry(x[1:3], a["kind"], a.get("window"),
+                                     a.get("pool_stride"), a.get("padding", VALID))
         return (x[0], oh, ow, x[3])
     if kind == "resize_bilinear":
-        return (x[0], a["out_h"], a["out_w"], x[3])
+        return (x[0], *extents_hw((a["out_h"], a["out_w"]), "resize output"), x[3])
     if kind == "add":
         if in_shapes[0] != in_shapes[1]:
             raise ShapeError(
@@ -104,11 +106,20 @@ def _infer_shape(node, in_shapes, weights):
 
 
 class Graph:
-    """A validated GraphSpec annotated with per-node output shapes."""
+    """A validated GraphSpec with per-node output shapes and release lists.
+
+    ``releases[i]`` names the buffers whose last consumer is node i.
+    """
 
     def __init__(self, spec, node_shapes):
         self.spec = spec
         self.node_shapes = node_shapes
+        last_use = {ref: i for i, node in enumerate(spec.nodes)
+                    for ref in node.input_ids}
+        last_use.pop(spec.output_id, None)  # the output survives the walk
+        self.releases = [[] for _ in spec.nodes]
+        for ref, i in last_use.items():
+            self.releases[i].append(ref)
 
     @property
     def name(self):
@@ -145,6 +156,8 @@ def validate(spec: GraphSpec) -> Graph:
     """Check structural invariants and shape-propagate every node."""
     if len(spec.input_shape) != 4:
         raise GraphValidationError("input_shape must have 4 extents")
+    if spec.dtype_profile not in DTYPE_WIDTH:
+        raise GraphValidationError(f"unknown dtype_profile {spec.dtype_profile!r}")
     seen = {INPUT_ID}
     for node in spec.nodes:
         if node.op_kind not in OP_KINDS:
@@ -212,30 +225,18 @@ def validate(spec: GraphSpec) -> Graph:
     return Graph(spec, shapes)
 
 
-def _consumer_counts(spec):
-    counts = {INPUT_ID: 0}
-    for node in spec.nodes:
-        counts[node.id] = 0
-        for ref in node.input_ids:
-            counts[ref] += 1
-    counts[spec.output_id] += 1  # output survives the walk
-    return counts
-
-
 def execute(graph: Graph, x: Tensor, kernels, observer=None) -> Tensor:
-    """Topological evaluation with immediate release of dead buffers."""
+    """Topological evaluation; each buffer is freed after its last consumer."""
     spec = graph.spec
     if x.shape != tuple(spec.input_shape):
         raise ExecutionError(
             f"input shape {x.shape} != graph input {tuple(spec.input_shape)}"
         )
-    expect = FLOAT32 if spec.dtype_profile == FLOAT32 else INT8Q
-    if x.dtype != expect:
-        raise ExecutionError(f"input dtype {x.dtype} != profile {expect}")
-    remaining = _consumer_counts(spec)
-    values = {INPUT_ID: x}
     dtype = spec.dtype_profile
-    for node in spec.nodes:
+    if x.dtype != dtype:
+        raise ExecutionError(f"input dtype {x.dtype} != profile {dtype}")
+    values = {INPUT_ID: x}
+    for node, dead in zip(spec.nodes, graph.releases):
         ins = [values[i] for i in node.input_ids]
         weights = [spec.weights[r] for r in node.weight_refs]
         try:
@@ -248,10 +249,8 @@ def execute(graph: Graph, x: Tensor, kernels, observer=None) -> Tensor:
         values[node.id] = out
         if observer is not None:
             observer(node.id, out)
-        for ref in node.input_ids:
-            remaining[ref] -= 1
-            if remaining[ref] == 0:
-                del values[ref]
+        for ref in dead:
+            del values[ref]
     return values[spec.output_id]
 
 
@@ -299,23 +298,25 @@ def count_other_ops(graph: Graph, input_shape=None) -> int:
                if node.op_kind not in _WEIGHT_COUNT)
 
 
+def _live_buffers(graph: Graph, input_shape=None):
+    """Each node with {buffer id: bytes} of what is live while it runs.
+
+    The dict changes in place as the walk goes on."""
+    width = DTYPE_WIDTH[graph.spec.dtype_profile]
+    live = {INPUT_ID: math.prod(input_shape or graph.spec.input_shape) * width}
+    for (node, shape), dead in zip(_walk(graph, input_shape), graph.releases):
+        live[node.id] = math.prod(shape) * width
+        yield node, live
+        for ref in dead:
+            del live[ref]
+
+
 def peak_activation_bytes(graph: Graph, input_shape=None) -> int:
     """Max live activation bytes over a liveness-accurate execution walk.
 
     While a node runs, its inputs and its output buffer are live together;
-    a buffer dies right after its last consumer finishes.  Weights are not
-    included here (report them separately).
+    a buffer dies right after its last consumer finishes, at the point
+    ``execute`` frees it.  Weights are not included here (report them
+    separately).
     """
-    spec = graph.spec
-    width = DTYPE_WIDTH[spec.dtype_profile]
-    remaining = _consumer_counts(spec)
-    live = {INPUT_ID: math.prod(input_shape or spec.input_shape) * width}
-    peak = live[INPUT_ID]
-    for node, shape in _walk(graph, input_shape):
-        live[node.id] = math.prod(shape) * width
-        peak = max(peak, sum(live.values()))
-        for ref in node.input_ids:
-            remaining[ref] -= 1
-            if remaining[ref] == 0:
-                del live[ref]
-    return peak
+    return max(sum(live.values()) for _, live in _live_buffers(graph, input_shape))

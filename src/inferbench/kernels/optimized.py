@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import ShapeError
 from ..tensor import Tensor
 from . import KernelSet
 from .im2col import im2col
-from .shapes import SAME, VALID, conv_out_hw, pad_amounts
+from .shapes import SAME, VALID, conv_out_hw, extents_hw, pool_geometry
 from . import reference
 from .reference import _as_vec, _check_conv_shapes, _check_fc_rows, _zero_pad
 
@@ -68,24 +67,15 @@ def fully_connected(x, w, bias):
 
 
 def pool(x, kind, window, stride=None, padding=VALID):
-    if kind not in ("max", "avg"):
-        raise ValueError(f"unknown pool kind {kind!r}")
-    if window is None:
-        window, stride, padding = (x.shape[1], x.shape[2]), (1, 1), VALID
-    if stride is None:
-        stride = window
     h, w = x.shape[1], x.shape[2]
-    pt, pb = pad_amounts(h, window[0], stride[0], padding)
-    pl, pr = pad_amounts(w, window[1], stride[1], padding)
+    window, stride, pads, _ = pool_geometry((h, w), kind, window, stride, padding)
     fill = -np.inf if kind == "max" else 0.0
-    xp = np.pad(
-        x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=fill
-    )
+    xp = np.pad(x.data, ((0, 0), *pads, (0, 0)), constant_values=fill)
     v = sliding_window_view(xp, window, axis=(1, 2))[:, :: stride[0], :: stride[1]]
     if kind == "max":
         return Tensor(v.max(axis=(4, 5)))
     s = v.sum(axis=(4, 5), dtype=np.float64)
-    ones = np.pad(np.ones((h, w), dtype=np.float64), ((pt, pb), (pl, pr)))
+    ones = np.pad(np.ones((h, w), dtype=np.float64), pads)
     counts = sliding_window_view(ones, window)[:: stride[0], :: stride[1]].sum(
         axis=(2, 3)
     )
@@ -93,8 +83,7 @@ def pool(x, kind, window, stride=None, padding=VALID):
 
 
 def resize_bilinear(x, out_h, out_w):
-    if out_h < 1 or out_w < 1:
-        raise ShapeError("output extents must be >= 1")
+    extents_hw((out_h, out_w), "resize output")
     n, h, w, c = x.shape
     if (out_h, out_w) == (h, w):
         return Tensor(x.data.copy())

@@ -13,7 +13,9 @@ import numpy as np
 from ..errors import QuantizationError, ShapeError
 from ..tensor import FLOAT32, INT8Q, QuantParams, Tensor, dequantize, quantize, round_half_away
 from . import KernelSet
-from .shapes import SAME, VALID, conv_out_hw, pad_amounts, stride_hw
+from .shapes import (
+    SAME, VALID, conv_out_hw, extents_hw, pad_amounts, pool_geometry, stride_hw,
+)
 
 
 def _as_vec(bias, n):
@@ -106,16 +108,9 @@ def fully_connected(x: Tensor, w: Tensor, bias) -> Tensor:
 
 def pool(x: Tensor, kind, window, stride=None, padding=VALID) -> Tensor:
     """Max or average pooling; avg divides by the in-bounds element count."""
-    if kind not in ("max", "avg"):
-        raise ValueError(f"unknown pool kind {kind!r}")
-    if window is None:
-        window, stride, padding = (x.shape[1], x.shape[2]), (1, 1), VALID
-    if stride is None:
-        stride = window
     h, w = x.shape[1], x.shape[2]
-    pt, _ = pad_amounts(h, window[0], stride[0], padding)
-    pl, _ = pad_amounts(w, window[1], stride[1], padding)
-    oh, ow = conv_out_hw((h, w), window, stride, padding)
+    window, stride, ((pt, _), (pl, _)), (oh, ow) = pool_geometry(
+        (h, w), kind, window, stride, padding)
     out = np.empty((x.shape[0], oh, ow, x.shape[3]), dtype=x.data.dtype)
     for n in range(x.shape[0]):
         for i in range(oh):
@@ -146,8 +141,7 @@ def _avg_patch(patch):
 
 def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear sampling with src = dst * (in/out) (align-corners false)."""
-    if out_h < 1 or out_w < 1:
-        raise ShapeError("output extents must be >= 1")
+    extents_hw((out_h, out_w), "resize output")
     n, h, w, c = x.shape
     data = x.data.astype(np.float32) if x.dtype == FLOAT32 else dequantize(x).data
     out = np.empty((n, out_h, out_w, c), dtype=np.float32)
@@ -237,11 +231,9 @@ def qconv2d(x: Tensor, w: Tensor, bias_i32, stride, padding, out_qp) -> Tensor:
     kh, kw, cin, cout = _check_conv_shapes(x, w)
     _check_q_config(kh, kw, cin)
     oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
-    pt, pb = pad_amounts(x.shape[1], kh, stride[0], padding)
-    pl, pr = pad_amounts(x.shape[2], kw, stride[1], padding)
-    # Padding with the zero point represents real zeros.
-    xd = x.data.astype(np.int64) - x.qparams.zero_point
-    xp = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    # zero padding of centered codes represents real zeros
+    xp = _zero_pad(x.data.astype(np.int64) - x.qparams.zero_point,
+                   kh, kw, stride, padding)
     wd = w.data.astype(np.int64) - w.qparams.zero_point
     b = np.zeros(cout, dtype=np.int64) if bias_i32 is None else np.asarray(bias_i32)
     acc = np.empty((x.shape[0], oh, ow, cout), dtype=np.int64)
@@ -261,10 +253,8 @@ def qdepthwise_conv2d(x: Tensor, w: Tensor, bias_i32, stride, padding, out_qp) -
     kh, kw, c, _ = _check_conv_shapes(x, w, depthwise=True)
     _check_q_config(kh, kw, 1)
     oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
-    pt, pb = pad_amounts(x.shape[1], kh, stride[0], padding)
-    pl, pr = pad_amounts(x.shape[2], kw, stride[1], padding)
-    xd = x.data.astype(np.int64) - x.qparams.zero_point
-    xp = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    xp = _zero_pad(x.data.astype(np.int64) - x.qparams.zero_point,
+                   kh, kw, stride, padding)
     wd = w.data.astype(np.int64)[:, :, :, 0] - w.qparams.zero_point
     b = np.zeros(c, dtype=np.int64) if bias_i32 is None else np.asarray(bias_i32)
     acc = np.empty((x.shape[0], oh, ow, c), dtype=np.int64)

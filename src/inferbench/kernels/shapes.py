@@ -1,4 +1,7 @@
-"""Spatial-extent arithmetic shared by kernels and the graph analyzers.
+"""Window geometry: the one copy the kernels and ``graph._infer_shape`` share.
+
+Output extents, padding, pool windows and the check that every window,
+stride and resize extent is a pair of extents >= 1 all live here.
 
 Padding follows the TensorFlow convention:
   same  -> out = ceil(in / stride), zero padding split top/bottom with the
@@ -32,7 +35,17 @@ def pad_amounts(in_e, k, stride, padding):
     return before, total - before
 
 
+def extents_hw(value, what):
+    """``value`` as an (h, w) pair of extents >= 1; an int applies to both."""
+    pair = (value, value) if isinstance(value, int) else tuple(value)
+    if len(pair) != 2 or min(pair) < 1:
+        raise ShapeError(f"{what} must be two extents >= 1, got {value!r}")
+    return pair
+
+
 def conv_out_hw(in_hw, k_hw, stride_hw, padding):
+    extents_hw(k_hw, "window")
+    extents_hw(stride_hw, "stride")
     return (
         out_extent(in_hw[0], k_hw[0], stride_hw[0], padding),
         out_extent(in_hw[1], k_hw[1], stride_hw[1], padding),
@@ -41,5 +54,20 @@ def conv_out_hw(in_hw, k_hw, stride_hw, padding):
 
 def stride_hw(attrs):
     """A node's (stride_h, stride_w); an int stride applies to both axes."""
-    s = attrs.get("stride", (1, 1))
-    return (s, s) if isinstance(s, int) else tuple(s)
+    return extents_hw(attrs.get("stride", (1, 1)), "stride")
+
+
+def pool_geometry(in_hw, kind, window, stride, padding):
+    """A pool's effective (window, stride, ((top, bottom), (left, right)), out_hw).
+
+    A window of None pools the whole map; a stride of None equals the window.
+    """
+    if kind not in ("max", "avg"):
+        raise ShapeError(f"unknown pool kind {kind!r}")
+    if window is None:
+        window, stride, padding = tuple(in_hw), (1, 1), VALID
+    window = extents_hw(window, "pool window")
+    stride = window if stride is None else extents_hw(stride, "pool stride")
+    out_hw = conv_out_hw(in_hw, window, stride, padding)
+    pads = tuple(pad_amounts(*axis, padding) for axis in zip(in_hw, window, stride))
+    return window, stride, pads, out_hw

@@ -175,14 +175,14 @@ class SuiteConfig:
 def preferred_backend(test_id, spec, configured) -> str:
     """Per-test dispatch preference under the suite's backend setting.
 
-    Tests 3, 6 and 7 always take the CPU path (optimized kernels, or
-    reference when that is the configured backend); the others try the
-    configured backend, with 'auto' meaning quantized for the int8 test
-    and optimized otherwise.
+    A test that is not ``spec.accelerator_eligible`` always takes the CPU
+    path (optimized kernels, or reference when that is the configured
+    backend); the others try the configured backend, with 'auto' meaning
+    quantized for the int8 test and optimized otherwise.  ``test_id`` is
+    not read: the spec carries everything the rule needs.
     """
-    cpu_path = REFERENCE if configured == REFERENCE else OPTIMIZED
-    if test_id in (3, 6, 7):
-        return cpu_path
+    if not spec.accelerator_eligible:
+        return REFERENCE if configured == REFERENCE else OPTIMIZED
     if configured == "auto":
         return QUANTIZED if spec.quantized else OPTIMIZED
     return configured
@@ -337,6 +337,8 @@ def _check_measurement(m, seen_ids, lineno):
             want and m.avg_ms and math.isclose(m.avg_ms, want, rel_tol=1e-9)):
         raise _rejected(lineno, f"avg_ms {m.avg_ms!r} is not the mean without "
                         f"the first two images ({want!r})", "avg_ms")
+    if m.passed and not ms:
+        raise _rejected(lineno, "passed is true but no image finished", "passed")
 
 
 def load_suites(path):

@@ -57,19 +57,21 @@ def score_points(per_test_ms, memory_units, profile: ReferenceProfile) -> list:
     return points
 
 
-def aggregate_score(suite: SuiteResult, profile: ReferenceProfile) -> ScoreReport:
+def scored_runtimes(suite: SuiteResult) -> list:
+    """The runtime each of tests 1..8 scores: avg_ms, None if failed or missing."""
     per_test_ms = [None] * 8
-    failed = []
     for m in suite.measurements:
         if not 1 <= m.test_id <= 8:
             raise ScoringError(f"test_id {m.test_id} is not a timed test")
         if m.passed and m.avg_ms is not None and m.avg_ms <= 0:
             raise ScoringError(f"test {m.test_id}: avg_ms must be positive")
         per_test_ms[m.test_id - 1] = m.avg_ms if m.passed else None
-        if not m.passed:
-            failed.append(m.test_id)
-    seen = {m.test_id for m in suite.measurements}
-    failed += [t for t in range(1, 9) if t not in seen]
+    return per_test_ms
+
+
+def aggregate_score(suite: SuiteResult, profile: ReferenceProfile) -> ScoreReport:
+    per_test_ms = scored_runtimes(suite)
+    failed = [t for t, ms in enumerate(per_test_ms, start=1) if ms is None]
     probe = suite.memory_probe
     units = 0 if probe is None else probe.max_resolution_units
     if units < 1:
@@ -79,7 +81,7 @@ def aggregate_score(suite: SuiteResult, profile: ReferenceProfile) -> ScoreRepor
         per_test_points=points,
         total=sum(points),
         profile_name=profile.name,
-        failed_tests=sorted(set(failed)),
+        failed_tests=failed,
     )
 
 
@@ -88,13 +90,10 @@ def calibrate_profile(suite: SuiteResult, total_target: float,
     """Profile under which the calibrating suite scores exactly the target."""
     if total_target <= 0:
         raise ScoringError("total_target must be positive")
-    by_test = {m.test_id: m for m in suite.measurements}
-    t_ref = []
-    for t in range(1, 9):
-        m = by_test.get(t)
-        if m is None or not m.passed or not m.avg_ms or m.avg_ms <= 0:
-            raise ScoringError(f"cannot calibrate: test {t} did not pass")
-        t_ref.append(m.avg_ms)
+    t_ref = scored_runtimes(suite)
+    if None in t_ref:
+        raise ScoringError(
+            f"cannot calibrate: test {t_ref.index(None) + 1} did not pass")
     probe = suite.memory_probe
     if probe is None or probe.max_resolution_units < 1:
         raise ScoringError("cannot calibrate: memory probe did not pass")

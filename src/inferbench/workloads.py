@@ -61,7 +61,7 @@ class WorkloadSpec:
             raise WorkloadError(
                 f"quantized flag is only valid for test 1, got test {self.test_id}"
             )
-        eligible = self.test_id not in (3, 6, 7)
+        eligible = _DEFAULTS[self.test_id][4]
         if self.accelerator_eligible != eligible:
             raise WorkloadError(
                 f"test {self.test_id} accelerator_eligible must be {eligible}"

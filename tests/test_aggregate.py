@@ -161,10 +161,13 @@ def _measurement_line(**changes):
     # a failed test without images is a possible record
     ([_measurement_line(images_processed=0, per_image_ms=[], avg_ms=None,
                         passed=False)], None),
+    # a test passes only if its first image finished in budget
+    ([_measurement_line(images_processed=0, per_image_ms=[], avg_ms=None)],
+     "passed"),
 ], ids=["nan-avg", "negative-avg", "infinite-image", "zero-image",
         "test-id-0", "test-id-9", "duplicate-test-id", "image-count",
         "avg-keeps-first-two", "null-avg-with-images", "avg-without-images",
-        "failed-without-images"])
+        "failed-without-images", "passed-without-images"])
 def test_ingest_rejects_impossible_record(tmp_path, lines, field):
     path = tmp_path / "r.jsonl"
     path.write_text(_HEADER_LINE + "".join(lines))

@@ -84,6 +84,17 @@ def test_run_rejects_a_value_not_above_zero(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    ("0", "must be > 0"), ("-0.5", "must be > 0"), ("1.5", "must be <= 1"),
+])
+def test_run_rejects_a_scale_outside_the_unit_interval(tmp_path, capsys, value,
+                                                       message):
+    out = tmp_path / "r.jsonl"
+    assert main(["run", "--scale", value, "--out", str(out)]) == 1
+    assert f"argument --scale: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_score_command(suite_file, profile_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["score", str(suite_file), "--profile", str(profile_file),

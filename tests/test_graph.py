@@ -1,13 +1,18 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from inferbench.errors import ExecutionError, GraphValidationError
+from inferbench.dispatch import default_registry
+from inferbench.errors import ExecutionError, GraphValidationError, ShapeError
 from inferbench.graph import (
     INPUT_ID,
     GraphSpec,
     OperatorNode,
+    _infer_shape,
+    _live_buffers,
     count_macs,
     count_other_ops,
     count_params,
@@ -15,9 +20,11 @@ from inferbench.graph import (
     peak_activation_bytes,
     validate,
 )
-from inferbench.kernels import KernelSet, reference
-from inferbench.tensor import Tensor
-from inferbench.workloads import instantiate
+from inferbench.kernels import KernelSet, optimized, quantized, reference
+from inferbench.kernels.shapes import SAME, VALID
+from inferbench.runner import preferred_backend
+from inferbench.tensor import INT8Q, QuantParams, Tensor
+from inferbench.workloads import generate_input, instantiate
 
 import oracles
 
@@ -108,6 +115,58 @@ def test_validate_rejects_shape_mismatch():
     spec = _simple_spec()
     spec.weights["c2_w"] = _w((1, 1, 5, 2))  # cin 5 != 4
     with pytest.raises(GraphValidationError, match="c2"):
+        validate(spec)
+
+
+def _spec_with(node):
+    """The simple graph with ``node``, reading c1, inserted before c2."""
+    spec = _simple_spec()
+    spec.nodes.insert(2, node)
+    spec.nodes[3].input_ids = [node.id]
+    return spec
+
+
+@pytest.mark.parametrize("node, message", [
+    (OperatorNode("p", "pool", ["r1"], {"kind": "max", "window": (2, 2),
+                                        "pool_stride": (0, 1)}), "stride"),
+    (OperatorNode("p", "pool", ["r1"], {"kind": "max", "window": (2, 2),
+                                        "pool_stride": ()}), "stride"),
+    (OperatorNode("p", "pool", ["r1"], {"kind": "avg", "window": (2, 0)}), "window"),
+    (OperatorNode("p", "pool", ["r1"], {"kind": "min", "window": (2, 2)}),
+     "unknown pool kind 'min'"),
+    (OperatorNode("p", "resize_bilinear", ["r1"], {"out_h": 0, "out_w": 4}),
+     "resize output"),
+], ids=["pool-stride-0", "pool-stride-empty", "pool-window-0", "pool-kind",
+        "resize-extent-0"])
+def test_validate_rejects_bad_window_attributes(node, message):
+    with pytest.raises(GraphValidationError, match=message) as err:
+        validate(_spec_with(node))
+    assert err.value.node_id == "p"
+    assert "'p'" in str(err.value)
+
+
+def test_validate_rejects_a_conv_stride_below_one():
+    spec = _simple_spec()
+    spec.nodes[2].attributes["stride"] = (1, 0)
+    with pytest.raises(GraphValidationError, match="stride") as err:
+        validate(spec)
+    assert err.value.node_id == "c2"
+
+
+def test_kernels_called_directly_reject_a_stride_below_one():
+    x = Tensor(np.zeros((1, 4, 4, 3), dtype=np.float32))
+    w = _w((3, 3, 3, 2))
+    for conv in (reference.conv2d, optimized.conv2d):
+        with pytest.raises(ShapeError, match="stride"):
+            conv(x, w, None, stride=(0, 1))
+    for pool in (reference.pool, optimized.pool):
+        with pytest.raises(ShapeError, match="window"):
+            pool(x, "max", (0, 2))
+
+
+def test_validate_rejects_an_unknown_dtype_profile():
+    spec = replace(_simple_spec(), dtype_profile="fp16")
+    with pytest.raises(GraphValidationError, match="dtype_profile"):
         validate(spec)
 
 
@@ -231,3 +290,68 @@ def test_peak_activation_with_residual_skip():
     g = validate(GraphSpec("skip", (1, 4, 4, 3), nodes, "s", weights))
     # during relu: input (skip) + conv out + relu out = 3 buffers of 4*4*3
     assert peak_activation_bytes(g) == 3 * (4 * 4 * 3 * 4)
+
+
+@pytest.mark.parametrize("test_id", range(1, 10))
+def test_execute_frees_exactly_what_the_analyzer_counts_live(test_id):
+    """When each node's output is observed, exactly the analyzer's live set is alive.
+
+    Weak references to each node output's array show which outputs
+    ``execute`` still holds, so a buffer freed late or early fails the
+    test.  The graph input is left out, because the caller holds it.
+    """
+    graph, spec = instantiate(test_id, 0.1)
+    registry = default_registry()
+    decision = registry.select_backend(graph, preferred_backend(test_id, spec, "auto"))
+    kernels = registry.kernels(decision.chosen_backend_id)
+    expected = [set(live) - {INPUT_ID} for _, live in _live_buffers(graph)]
+    buffers = {}
+    alive = []
+
+    def still_alive():
+        return {n for n, ref in buffers.items() if ref() is not None}
+
+    def observer(node_id, out):
+        buffers[node_id] = weakref.ref(out.data)
+        alive.append(still_alive())
+
+    y = execute(graph, generate_input(spec, 42), kernels, observer=observer)
+    assert alive == expected
+    assert still_alive() == {graph.spec.output_id}
+    assert y.shape == graph.output_shape
+
+
+@st.composite
+def pool_layers(draw):
+    """(input NHWC shape, kind, window, stride, padding) of a valid pool."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    shape = (draw(st.integers(1, 2)), h, w, draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["max", "avg"]))
+    if draw(st.integers(0, 4)) == 0:
+        return shape, kind, None, None, draw(st.sampled_from([SAME, VALID]))
+    padding = draw(st.sampled_from([SAME, VALID]))
+    top = (h, w) if padding == VALID else (4, 4)
+    window = (draw(st.integers(1, top[0])), draw(st.integers(1, top[1])))
+    stride = draw(st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    return shape, kind, window, stride, padding
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool_layers(), st.integers(0, 2**32 - 1))
+def test_pool_geometry_agrees_between_analyzer_and_kernels(layer, seed):
+    """Global pools, default strides, SAME and VALID, strides unlike the window."""
+    shape, kind, window, stride, padding = layer
+    attrs = {"kind": kind, "window": window, "pool_stride": stride, "padding": padding}
+    node = OperatorNode("p", "pool", [INPUT_ID], attrs)
+    want = _infer_shape(node, [shape], [])
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.uniform(-1, 1, size=shape).astype(np.float32))
+    qp = QuantParams(0.05, 3)
+    xq = Tensor(rng.integers(-128, 128, size=shape), INT8Q, qp)
+    outs = [
+        reference.pool(x, kind, window, stride, padding),
+        optimized.pool(x, kind, window, stride, padding),
+        quantized.make_kernel_set().apply("pool", INT8Q, [xq], [],
+                                          {**attrs, "out_qp": qp}),
+    ]
+    assert [o.shape for o in outs] == [want] * 3

@@ -1,8 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used, and no private helper is orphaned.
 
-A stdlib-only guard: each module under ``src/inferbench`` is parsed with
-``ast``, and every name bound by an import must appear as a name in the
-module's code or be re-exported through ``__all__``.
+Stdlib-only guards: each module under ``src/inferbench`` is parsed with
+``ast``.  Every name bound by an import must appear as a name in the
+module's code or be re-exported through ``__all__``.  Every module-level
+function or class whose name starts with ``_`` must be referenced
+somewhere in the package, as a name, an attribute or an import.
 """
 
 import ast
@@ -45,3 +47,33 @@ def test_module_uses_every_import(path):
               for name, line in sorted(_imported(tree).items())
               if name not in used]
     assert not unused, f"unused imports: {', '.join(unused)}"
+
+
+def _private_definitions(tree):
+    """name -> line of each module-level private function or class."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def _references(tree):
+    """Every name, attribute and imported name the module's code mentions."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def test_every_private_helper_is_referenced():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    referenced = set().union(*map(_references, trees.values()))
+    orphans = [f"{path.relative_to(PACKAGE)}:{line} {name}"
+               for path, tree in trees.items()
+               for name, line in sorted(_private_definitions(tree).items())
+               if name not in referenced]
+    assert not orphans, f"unreferenced private helpers: {', '.join(orphans)}"

@@ -137,6 +137,12 @@ def test_preferred_backend_rules():
     assert preferred_backend(6, cpu_only, REFERENCE) == REFERENCE
     assert preferred_backend(3, fspec, "auto") == OPTIMIZED
     assert preferred_backend(7, fspec, OPTIMIZED) == OPTIMIZED
+    # the rule reads each test's own spec, whatever the configured backend
+    for t in (3, 6, 7):
+        spec = _make_spec(t, 0.2, 42)
+        assert preferred_backend(t, spec, QUANTIZED) == OPTIMIZED
+        assert preferred_backend(t, spec, "auto") == OPTIMIZED
+        assert preferred_backend(t, spec, REFERENCE) == REFERENCE
 
 
 def test_run_suite_tiny_budgets_produce_nine_entries(tmp_path):
