@@ -301,7 +301,8 @@ def count_other_ops(graph: Graph, input_shape=None) -> int:
 def _live_buffers(graph: Graph, input_shape=None):
     """Each node with {buffer id: bytes} of what is live while it runs.
 
-    The dict changes in place as the walk goes on."""
+    One dict, updated in place as the walk goes on.
+    """
     width = DTYPE_WIDTH[graph.spec.dtype_profile]
     live = {INPUT_ID: math.prod(input_shape or graph.spec.input_shape) * width}
     for (node, shape), dead in zip(_walk(graph, input_shape), graph.releases):

@@ -22,7 +22,7 @@ def out_extent(in_e, k, stride, padding):
         if in_e < k:
             raise ShapeError(f"valid padding needs extent >= kernel ({in_e} < {k})")
         return (in_e - k) // stride + 1
-    raise ValueError(f"unknown padding {padding!r}")
+    raise ShapeError(f"unknown padding {padding!r}")
 
 
 def pad_amounts(in_e, k, stride, padding):

@@ -134,10 +134,12 @@ def _spec_with(node):
     (OperatorNode("p", "pool", ["r1"], {"kind": "avg", "window": (2, 0)}), "window"),
     (OperatorNode("p", "pool", ["r1"], {"kind": "min", "window": (2, 2)}),
      "unknown pool kind 'min'"),
+    (OperatorNode("p", "pool", ["r1"], {"kind": "max", "window": (2, 2),
+                                        "padding": "full"}), "unknown padding"),
     (OperatorNode("p", "resize_bilinear", ["r1"], {"out_h": 0, "out_w": 4}),
      "resize output"),
 ], ids=["pool-stride-0", "pool-stride-empty", "pool-window-0", "pool-kind",
-        "resize-extent-0"])
+        "pool-padding", "resize-extent-0"])
 def test_validate_rejects_bad_window_attributes(node, message):
     with pytest.raises(GraphValidationError, match=message) as err:
         validate(_spec_with(node))
