@@ -6,14 +6,20 @@ desk-scale run would use --scale 0.25 via the CLI.
 Run: python3 demos/04_run_and_score.py
 """
 
+import os
 import time
 
-from inferbench.runner import SuiteConfig, predict_probe_bytes, run_suite
-from inferbench.scoring import aggregate_score, calibrate_profile
+# Before numpy loads: BLAS reads its thread count once, at load time.  One
+# thread keeps each image's time from depending on what else the host runs.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+from inferbench.runner import SuiteConfig, predict_probe_bytes, run_suite  # noqa: E402
+from inferbench.scoring import aggregate_score, calibrate_profile  # noqa: E402
 
 config = SuiteConfig(
     backend="auto",
-    threads=2,
+    threads=1,
     scale=0.05,          # smallest viable resolutions
     budget_scale=0.5,    # a handful of images per test
     mem_cap_bytes=int(predict_probe_bytes(100) * 4.5),

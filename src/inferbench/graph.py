@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from .errors import ExecutionError, GraphValidationError, ShapeError
 from .kernels import OP_KINDS
 from .kernels.shapes import (
-    SAME, VALID, conv_out_hw, extents_hw, pool_geometry, stride_hw,
+    SAME, VALID, add_shape, concat_shape, conv_shape, extents_hw, fc_shape,
+    pool_geometry, stride_hw,
 )
 from .tensor import DTYPE_WIDTH, FLOAT32, INT8Q, Tensor
 
@@ -64,25 +65,10 @@ def _infer_shape(node, in_shapes, weights):
     a = node.attributes
     x = in_shapes[0]
     if kind in ("conv2d", "depthwise_conv2d"):
-        w = weights[0].shape
-        kh, kw, cin, cout = w
-        if kind == "depthwise_conv2d":
-            if cout != 1 or x[3] != cin:
-                raise ShapeError(
-                    f"depthwise channels {cin} incompatible with input {x[3]}"
-                )
-            cout = cin
-        elif x[3] != cin:
-            raise ShapeError(f"input channels {x[3]} != weight Cin {cin}")
-        oh, ow = conv_out_hw(x[1:3], (kh, kw), stride_hw(a), a.get("padding", SAME))
-        return (x[0], oh, ow, cout)
+        return conv_shape(x, weights[0].shape, stride_hw(a), a.get("padding", SAME),
+                          depthwise=kind == "depthwise_conv2d")
     if kind == "fully_connected":
-        rows, cols = weights[0].shape[-2], weights[0].shape[-1]
-        if x[1] * x[2] * x[3] != rows:
-            raise ShapeError(
-                f"flattened input {x[1] * x[2] * x[3]} != weight rows {rows}"
-            )
-        return (x[0], 1, 1, cols)
+        return fc_shape(x, weights[0].shape)
     if kind == "pool":
         *_, (oh, ow) = pool_geometry(x[1:3], a["kind"], a.get("window"),
                                      a.get("pool_stride"), a.get("padding", VALID))
@@ -90,17 +76,9 @@ def _infer_shape(node, in_shapes, weights):
     if kind == "resize_bilinear":
         return (x[0], *extents_hw((a["out_h"], a["out_w"]), "resize output"), x[3])
     if kind == "add":
-        if in_shapes[0] != in_shapes[1]:
-            raise ShapeError(
-                f"add operands differ: {in_shapes[0]} vs {in_shapes[1]}"
-            )
-        return x
+        return add_shape(x, in_shapes[1])
     if kind == "concat_channels":
-        base = x[:3]
-        for s in in_shapes[1:]:
-            if s[:3] != base:
-                raise ShapeError(f"concat spatial mismatch: {s[:3]} vs {base}")
-        return (*base, sum(s[3] for s in in_shapes))
+        return concat_shape(in_shapes)
     # relu / softmax
     return x
 
@@ -132,24 +110,6 @@ class Graph:
     @property
     def output_shape(self):
         return self.node_shapes[self.spec.output_id]
-
-    def shapes_at(self, input_shape):
-        """Re-propagate node shapes for a different input resolution."""
-        return _propagate(self.spec, tuple(input_shape))
-
-
-def _propagate(spec, input_shape):
-    shapes = {INPUT_ID: tuple(input_shape)}
-    for node in spec.nodes:
-        in_shapes = [shapes[i] for i in node.input_ids]
-        weights = [spec.weights.get(r) for r in node.weight_refs]
-        try:
-            shapes[node.id] = _infer_shape(node, in_shapes, weights)
-        except ShapeError as e:
-            raise GraphValidationError(
-                f"node {node.id!r}: {e}", node_id=node.id
-            ) from e
-    return shapes
 
 
 def validate(spec: GraphSpec) -> Graph:
@@ -199,10 +159,13 @@ def validate(spec: GraphSpec) -> Graph:
                     f"node {node.id!r}: int8 profile needs attribute 'out_qp'",
                     node_id=node.id,
                 )
+            # the kernels quantize a real-valued bias at the accumulator scale
             if (node.op_kind in _WEIGHT_COUNT
-                    and spec.weights[node.weight_refs[0]].dtype != INT8Q):
+                    and [spec.weights[r].dtype for r in node.weight_refs]
+                    != [INT8Q, FLOAT32]):
                 raise GraphValidationError(
-                    f"node {node.id!r}: weight dtype does not match int8 profile",
+                    f"node {node.id!r}: weight dtype does not match int8 profile "
+                    "(int8 weight, float32 bias)",
                     node_id=node.id,
                 )
         seen.add(node.id)
@@ -221,7 +184,16 @@ def validate(spec: GraphSpec) -> Graph:
                 node_id=node.id,
             )
 
-    shapes = _propagate(spec, spec.input_shape)
+    shapes = {INPUT_ID: tuple(spec.input_shape)}
+    for node in spec.nodes:
+        in_shapes = [shapes[i] for i in node.input_ids]
+        weights = [spec.weights[r] for r in node.weight_refs]
+        try:
+            shapes[node.id] = _infer_shape(node, in_shapes, weights)
+        except ShapeError as e:
+            raise GraphValidationError(
+                f"node {node.id!r}: {e}", node_id=node.id
+            ) from e
     return Graph(spec, shapes)
 
 
@@ -260,15 +232,10 @@ def count_params(graph) -> int:
     return sum(t.size for t in spec.weights.values())
 
 
-def _walk(graph: Graph, input_shape=None):
-    """Each node with its output shape, at the graph's own or another input."""
-    shapes = (
-        graph.node_shapes
-        if input_shape is None
-        else graph.shapes_at(tuple(input_shape))
-    )
+def _walk(graph: Graph):
+    """Each node with its output shape."""
     for node in graph.spec.nodes:
-        yield node, shapes[node.id]
+        yield node, graph.node_shapes[node.id]
 
 
 def _node_macs(node, out_shape, weights):
@@ -285,34 +252,33 @@ def _node_macs(node, out_shape, weights):
     return 0
 
 
-def count_macs(graph: Graph, input_shape=None) -> int:
+def count_macs(graph: Graph) -> int:
     """Multiply-accumulate count; non-MAC ops contribute zero here."""
     weights = graph.spec.weights
-    return sum(_node_macs(node, shape, weights)
-               for node, shape in _walk(graph, input_shape))
+    return sum(_node_macs(node, shape, weights) for node, shape in _walk(graph))
 
 
-def count_other_ops(graph: Graph, input_shape=None) -> int:
+def count_other_ops(graph: Graph) -> int:
     """Output elements produced by non-MAC ops (pool/resize/elementwise)."""
-    return sum(math.prod(shape) for node, shape in _walk(graph, input_shape)
+    return sum(math.prod(shape) for node, shape in _walk(graph)
                if node.op_kind not in _WEIGHT_COUNT)
 
 
-def _live_buffers(graph: Graph, input_shape=None):
+def _live_buffers(graph: Graph):
     """Each node with {buffer id: bytes} of what is live while it runs.
 
     One dict, updated in place as the walk goes on.
     """
     width = DTYPE_WIDTH[graph.spec.dtype_profile]
-    live = {INPUT_ID: math.prod(input_shape or graph.spec.input_shape) * width}
-    for (node, shape), dead in zip(_walk(graph, input_shape), graph.releases):
+    live = {INPUT_ID: math.prod(graph.spec.input_shape) * width}
+    for (node, shape), dead in zip(_walk(graph), graph.releases):
         live[node.id] = math.prod(shape) * width
         yield node, live
         for ref in dead:
             del live[ref]
 
 
-def peak_activation_bytes(graph: Graph, input_shape=None) -> int:
+def peak_activation_bytes(graph: Graph) -> int:
     """Max live activation bytes over a liveness-accurate execution walk.
 
     While a node runs, its inputs and its output buffer are live together;
@@ -320,4 +286,4 @@ def peak_activation_bytes(graph: Graph, input_shape=None) -> int:
     ``execute`` frees it.  Weights are not included here (report them
     separately).
     """
-    return max(sum(live.values()) for _, live in _live_buffers(graph, input_shape))
+    return max(sum(live.values()) for _, live in _live_buffers(graph))

@@ -14,9 +14,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..tensor import Tensor
 from . import KernelSet
 from .im2col import im2col
-from .shapes import SAME, VALID, conv_out_hw, extents_hw, pool_geometry
+from .shapes import SAME, VALID, conv_shape, extents_hw, fc_shape, pool_geometry
 from . import reference
-from .reference import _as_vec, _check_conv_shapes, _check_fc_rows, _zero_pad
+from .reference import _as_vec, _zero_pad
 
 # Output positions (patch rows) per GEMM tile.
 _TILE_ELEMS = 8192
@@ -31,8 +31,8 @@ def _tiles(n_images, oh, ow):
 
 
 def conv2d(x, w, bias, stride=(1, 1), padding=SAME):
-    kh, kw, cin, cout = _check_conv_shapes(x, w)
-    oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
+    _, oh, ow, cout = conv_shape(x.shape, w.shape, stride, padding)
+    kh, kw, cin, _ = w.shape
     b = _as_vec(bias, cout).astype(np.float32)
     xp = _zero_pad(x.data, kh, kw, stride, padding)
     wm = w.data.reshape(kh * kw * cin, cout)
@@ -45,8 +45,8 @@ def conv2d(x, w, bias, stride=(1, 1), padding=SAME):
 
 
 def depthwise_conv2d(x, w, bias, stride=(1, 1), padding=SAME):
-    kh, kw, c, _ = _check_conv_shapes(x, w, depthwise=True)
-    oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
+    _, oh, ow, c = conv_shape(x.shape, w.shape, stride, padding, depthwise=True)
+    kh, kw = w.shape[:2]
     b = _as_vec(bias, c).astype(np.float32)
     xp = _zero_pad(x.data, kh, kw, stride, padding)
     v = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :: stride[0], :: stride[1]]
@@ -58,12 +58,12 @@ def depthwise_conv2d(x, w, bias, stride=(1, 1), padding=SAME):
 
 
 def fully_connected(x, w, bias):
+    shape = fc_shape(x.shape, w.shape)
     wm = w.data.reshape(w.shape[-2], w.shape[-1])
     flat = x.data.reshape(x.shape[0], -1)
-    _check_fc_rows(flat, wm.shape[0])
     b = _as_vec(bias, wm.shape[1]).astype(np.float32)
     out = flat @ wm + b
-    return Tensor(out.reshape(x.shape[0], 1, 1, wm.shape[1]))
+    return Tensor(out.reshape(shape))
 
 
 def pool(x, kind, window, stride=None, padding=VALID):

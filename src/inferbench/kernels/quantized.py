@@ -31,15 +31,8 @@ import numpy as np
 from ..tensor import INT8Q, Tensor
 from . import KernelSet, reference
 from .im2col import im2col
-from .shapes import conv_out_hw
-from .reference import (
-    _check_conv_shapes,
-    _check_fc_rows,
-    _check_q_config,
-    _zero_pad,
-    int8_adapters,
-    requantize,
-)
+from .shapes import conv_shape, fc_shape
+from .reference import _check_q_config, _zero_pad, int8_adapters, requantize
 
 # all 256 int8 codes, ordered by their uint8 bit pattern
 _CODES = np.arange(256, dtype=np.uint8).view(np.int8).reshape(1, 1, 1, 256)
@@ -59,20 +52,20 @@ def _exact_gemm(a, w, bias_i32):
 
 
 def qconv2d(x, w, bias_i32, stride, padding, out_qp):
-    kh, kw, cin, cout = _check_conv_shapes(x, w)
+    shape = conv_shape(x.shape, w.shape, stride, padding)
+    kh, kw, cin, _ = w.shape
     _check_q_config(kh, kw, cin)
-    oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
     # zero padding of centered codes represents real zeros
     xp = _zero_pad(_centered(x), kh, kw, stride, padding)
     acc = _exact_gemm(im2col(xp, kh, kw, stride), w, bias_i32)
-    acc = acc.reshape(x.shape[0], oh, ow, cout)
+    acc = acc.reshape(shape)
     return Tensor(requantize(acc, x.qparams, w.qparams, out_qp), INT8Q, out_qp)
 
 
 def qdepthwise_conv2d(x, w, bias_i32, stride, padding, out_qp):
-    kh, kw, c, _ = _check_conv_shapes(x, w, depthwise=True)
+    _, oh, ow, c = conv_shape(x.shape, w.shape, stride, padding, depthwise=True)
+    kh, kw = w.shape[:2]
     _check_q_config(kh, kw, 1)
-    oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
     sh, sw = stride
     xp = _zero_pad(x.data.astype(np.int32) - x.qparams.zero_point,
                     kh, kw, stride, padding)
@@ -88,10 +81,10 @@ def qdepthwise_conv2d(x, w, bias_i32, stride, padding, out_qp):
 
 
 def qfully_connected(x, w, bias_i32, out_qp):
+    shape = fc_shape(x.shape, w.shape)
     flat = _centered(x).reshape(x.shape[0], -1)
-    _check_fc_rows(flat, w.shape[-2])
     q = requantize(_exact_gemm(flat, w, bias_i32), x.qparams, w.qparams, out_qp)
-    return Tensor(q.reshape(x.shape[0], 1, 1, w.shape[-1]), INT8Q, out_qp)
+    return Tensor(q.reshape(shape), INT8Q, out_qp)
 
 
 def qrelu(x, out_qp):

@@ -1,9 +1,14 @@
 """Reference kernels: per-pixel loops with no blocking.
 
-These are the correctness oracle for every other backend.  The float path
-walks output positions one at a time; the int8 path accumulates integer
-products exactly and requantizes with round-half-away-from-zero.  The
-reference set covers every (op, dtype) pair by contract.
+These are the correctness oracle for every other backend, and each op's
+maths is written once for both dtypes.  Conv, depthwise conv and fully
+connected share one direct loop each (``_direct_conv``, ``_direct_fc``):
+on float32 values for the float path, on int64 centered codes for the int8
+path, which accumulates exactly and then requantizes with
+round-half-away-from-zero.  Add, softmax, concat and resize in int8 are
+the float op between dequantize and quantize (``_on_real_values``); pool
+and relu work on the codes.  Operand shapes are checked by the rules in
+``shapes``.  The reference set covers every (op, dtype) pair by contract.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from ..errors import QuantizationError, ShapeError
 from ..tensor import FLOAT32, INT8Q, QuantParams, Tensor, dequantize, quantize, round_half_away
 from . import KernelSet
 from .shapes import (
-    SAME, VALID, conv_out_hw, extents_hw, pad_amounts, pool_geometry, stride_hw,
+    SAME, VALID, add_shape, concat_shape, conv_shape, extents_hw, fc_shape,
+    pad_amounts, pool_geometry, stride_hw,
 )
 
 
@@ -28,25 +34,6 @@ def _as_vec(bias, n):
     return b
 
 
-def _check_conv_shapes(x, w, depthwise=False):
-    kh, kw, cin, cout = w.shape
-    if depthwise:
-        if cout != 1:
-            raise ShapeError(f"depthwise weights need trailing extent 1, got {cout}")
-        if x.shape[3] != cin:
-            raise ShapeError(f"input channels {x.shape[3]} != depthwise channels {cin}")
-    elif x.shape[3] != cin:
-        raise ShapeError(f"input channels {x.shape[3]} != weight Cin {cin}")
-    return kh, kw, cin, cout
-
-
-def _check_fc_rows(flat, rows):
-    if flat.shape[1] != rows:
-        raise ShapeError(
-            f"flattened input length {flat.shape[1]} != weight rows {rows}"
-        )
-
-
 def _zero_pad(x, kh, kw, stride, padding):
     pt, pb = pad_amounts(x.shape[1], kh, stride[0], padding)
     pl, pr = pad_amounts(x.shape[2], kw, stride[1], padding)
@@ -55,55 +42,62 @@ def _zero_pad(x, kh, kw, stride, padding):
     return x
 
 
+# The direct loops below serve both dtypes.  Their operands are arrays in
+# the accumulator's dtype: float32 values, or int64 codes minus their zero
+# points (``_centered``), whose sums are exact and whose zero padding
+# stands for real zeros.
+
+
+def _direct_conv(xd, wd, bias, stride, padding, depthwise=False):
+    """Conv or depthwise conv plus bias, one output position at a time."""
+    shape = conv_shape(xd.shape, wd.shape, stride, padding, depthwise)
+    kh, kw = wd.shape[:2]
+    b = _as_vec(bias, shape[3]).astype(xd.dtype)
+    xp = _zero_pad(xd, kh, kw, stride, padding)
+    if depthwise:
+        wm = wd[:, :, :, 0]
+
+        def window_dot(patch):
+            return np.sum(patch * wm, axis=(0, 1))
+    else:
+        def window_dot(patch):
+            return np.tensordot(patch, wd, axes=([0, 1, 2], [0, 1, 2]))
+    out = np.empty(shape, dtype=xd.dtype)
+    for n in range(shape[0]):
+        for i in range(shape[1]):
+            hs = i * stride[0]
+            for j in range(shape[2]):
+                ws = j * stride[1]
+                out[n, i, j, :] = window_dot(xp[n, hs : hs + kh, ws : ws + kw, :]) + b
+    return out
+
+
+def _direct_fc(xd, wd, bias):
+    """Fully connected plus bias on the flattened input, one dot per output."""
+    shape = fc_shape(xd.shape, wd.shape)
+    wm = wd.reshape(wd.shape[-2], wd.shape[-1])
+    flat = xd.reshape(xd.shape[0], -1)
+    b = _as_vec(bias, shape[3]).astype(xd.dtype)
+    out = np.empty((shape[0], shape[3]), dtype=xd.dtype)
+    for n in range(shape[0]):
+        for k in range(shape[3]):
+            out[n, k] = np.dot(flat[n], wm[:, k]) + b[k]
+    return out.reshape(shape)
+
+
 def conv2d(x: Tensor, w: Tensor, bias, stride=(1, 1), padding=SAME) -> Tensor:
     """Naive float32 convolution: dot product per output position."""
-    kh, kw, cin, cout = _check_conv_shapes(x, w)
-    oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
-    b = _as_vec(bias, cout).astype(np.float32)
-    xp = _zero_pad(x.data, kh, kw, stride, padding)
-    wm = w.data
-    out = np.empty((x.shape[0], oh, ow, cout), dtype=np.float32)
-    for n in range(x.shape[0]):
-        for i in range(oh):
-            hs = i * stride[0]
-            for j in range(ow):
-                ws = j * stride[1]
-                patch = xp[n, hs : hs + kh, ws : ws + kw, :]
-                out[n, i, j, :] = (
-                    np.tensordot(patch, wm, axes=([0, 1, 2], [0, 1, 2])) + b
-                )
-    return Tensor(out)
+    return Tensor(_direct_conv(x.data, w.data, bias, stride, padding))
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, bias, stride=(1, 1), padding=SAME) -> Tensor:
     """Per-channel convolution; channel c of the output sees only channel c."""
-    kh, kw, c, _ = _check_conv_shapes(x, w, depthwise=True)
-    oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
-    b = _as_vec(bias, c).astype(np.float32)
-    xp = _zero_pad(x.data, kh, kw, stride, padding)
-    wm = w.data[:, :, :, 0]
-    out = np.empty((x.shape[0], oh, ow, c), dtype=np.float32)
-    for n in range(x.shape[0]):
-        for i in range(oh):
-            hs = i * stride[0]
-            for j in range(ow):
-                ws = j * stride[1]
-                patch = xp[n, hs : hs + kh, ws : ws + kw, :]
-                out[n, i, j, :] = np.sum(patch * wm, axis=(0, 1)) + b
-    return Tensor(out)
+    return Tensor(_direct_conv(x.data, w.data, bias, stride, padding, depthwise=True))
 
 
 def fully_connected(x: Tensor, w: Tensor, bias) -> Tensor:
     """Affine map on the flattened input, float32 accumulation."""
-    wm = w.data.reshape(w.shape[-2], w.shape[-1])
-    flat = x.data.reshape(x.shape[0], -1)
-    _check_fc_rows(flat, wm.shape[0])
-    b = _as_vec(bias, wm.shape[1]).astype(np.float32)
-    out = np.empty((x.shape[0], wm.shape[1]), dtype=np.float32)
-    for n in range(x.shape[0]):
-        for k in range(wm.shape[1]):
-            out[n, k] = np.dot(flat[n], wm[:, k]) + b[k]
-    return Tensor(out.reshape(x.shape[0], 1, 1, wm.shape[1]))
+    return Tensor(_direct_fc(x.data, w.data, bias))
 
 
 def pool(x: Tensor, kind, window, stride=None, padding=VALID) -> Tensor:
@@ -143,7 +137,7 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear sampling with src = dst * (in/out) (align-corners false)."""
     extents_hw((out_h, out_w), "resize output")
     n, h, w, c = x.shape
-    data = x.data.astype(np.float32) if x.dtype == FLOAT32 else dequantize(x).data
+    data = x.data
     out = np.empty((n, out_h, out_w, c), dtype=np.float32)
     hs = h / out_h
     ws = w / out_w
@@ -160,15 +154,11 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
             top = data[:, y0, x0, :] * (1 - fx) + data[:, y0, x1, :] * fx
             bot = data[:, y1, x0, :] * (1 - fx) + data[:, y1, x1, :] * fx
             out[:, i, j, :] = top * (1 - fy) + bot * fy
-    t = Tensor(out)
-    if x.dtype == INT8Q:
-        return quantize(t, x.qparams)
-    return t
+    return Tensor(out)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
+    add_shape(a.shape, b.shape)
     return Tensor(a.data + b.data)
 
 
@@ -177,12 +167,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def concat_channels(tensors) -> Tensor:
-    base = tensors[0].shape[:3]
-    for t in tensors[1:]:
-        if t.shape[:3] != base:
-            raise ShapeError(
-                f"concat spatial shapes differ: {t.shape[:3]} vs {base}"
-            )
+    concat_shape([t.shape for t in tensors])
     return Tensor(np.concatenate([t.data for t in tensors], axis=3))
 
 
@@ -226,56 +211,31 @@ def requantize(acc, in_qp, w_qp, out_qp):
     return np.clip(q, -128, 127).astype(np.int8)
 
 
+def _centered(t):
+    """A tensor's int8 codes minus its zero point, as int64."""
+    return t.data.astype(np.int64) - t.qparams.zero_point
+
+
+def _requantized(acc, x, w, out_qp):
+    return Tensor(requantize(acc, x.qparams, w.qparams, out_qp), INT8Q, out_qp)
+
+
 def qconv2d(x: Tensor, w: Tensor, bias_i32, stride, padding, out_qp) -> Tensor:
     """Integer convolution: exact MAC accumulation then requantization."""
-    kh, kw, cin, cout = _check_conv_shapes(x, w)
-    _check_q_config(kh, kw, cin)
-    oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
-    # zero padding of centered codes represents real zeros
-    xp = _zero_pad(x.data.astype(np.int64) - x.qparams.zero_point,
-                   kh, kw, stride, padding)
-    wd = w.data.astype(np.int64) - w.qparams.zero_point
-    b = np.zeros(cout, dtype=np.int64) if bias_i32 is None else np.asarray(bias_i32)
-    acc = np.empty((x.shape[0], oh, ow, cout), dtype=np.int64)
-    for n in range(x.shape[0]):
-        for i in range(oh):
-            hs = i * stride[0]
-            for j in range(ow):
-                ws = j * stride[1]
-                patch = xp[n, hs : hs + kh, ws : ws + kw, :]
-                acc[n, i, j, :] = (
-                    np.tensordot(patch, wd, axes=([0, 1, 2], [0, 1, 2])) + b
-                )
-    return Tensor(requantize(acc, x.qparams, w.qparams, out_qp), INT8Q, out_qp)
+    _check_q_config(*w.shape[:3])
+    acc = _direct_conv(_centered(x), _centered(w), bias_i32, stride, padding)
+    return _requantized(acc, x, w, out_qp)
 
 
 def qdepthwise_conv2d(x: Tensor, w: Tensor, bias_i32, stride, padding, out_qp) -> Tensor:
-    kh, kw, c, _ = _check_conv_shapes(x, w, depthwise=True)
-    _check_q_config(kh, kw, 1)
-    oh, ow = conv_out_hw(x.shape[1:3], (kh, kw), stride, padding)
-    xp = _zero_pad(x.data.astype(np.int64) - x.qparams.zero_point,
-                   kh, kw, stride, padding)
-    wd = w.data.astype(np.int64)[:, :, :, 0] - w.qparams.zero_point
-    b = np.zeros(c, dtype=np.int64) if bias_i32 is None else np.asarray(bias_i32)
-    acc = np.empty((x.shape[0], oh, ow, c), dtype=np.int64)
-    for n in range(x.shape[0]):
-        for i in range(oh):
-            hs = i * stride[0]
-            for j in range(ow):
-                ws = j * stride[1]
-                patch = xp[n, hs : hs + kh, ws : ws + kw, :]
-                acc[n, i, j, :] = np.sum(patch * wd, axis=(0, 1)) + b
-    return Tensor(requantize(acc, x.qparams, w.qparams, out_qp), INT8Q, out_qp)
+    _check_q_config(*w.shape[:2], 1)
+    acc = _direct_conv(_centered(x), _centered(w), bias_i32, stride, padding,
+                       depthwise=True)
+    return _requantized(acc, x, w, out_qp)
 
 
 def qfully_connected(x: Tensor, w: Tensor, bias_i32, out_qp) -> Tensor:
-    wm = w.data.reshape(w.shape[-2], w.shape[-1]).astype(np.int64) - w.qparams.zero_point
-    flat = x.data.reshape(x.shape[0], -1).astype(np.int64) - x.qparams.zero_point
-    _check_fc_rows(flat, wm.shape[0])
-    b = np.zeros(wm.shape[1], dtype=np.int64) if bias_i32 is None else np.asarray(bias_i32)
-    acc = flat @ wm + b
-    q = requantize(acc, x.qparams, w.qparams, out_qp)
-    return Tensor(q.reshape(x.shape[0], 1, 1, wm.shape[1]), INT8Q, out_qp)
+    return _requantized(_direct_fc(_centered(x), _centered(w), bias_i32), x, w, out_qp)
 
 
 def qrelu(x: Tensor, out_qp) -> Tensor:
@@ -286,24 +246,30 @@ def qrelu(x: Tensor, out_qp) -> Tensor:
     return quantize(dequantize(t), out_qp)
 
 
-def qadd(a: Tensor, b: Tensor, out_qp) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    s = dequantize(a).data + dequantize(b).data
-    return quantize(Tensor(s), out_qp)
+def _real(arg):
+    if isinstance(arg, Tensor):
+        return dequantize(arg)
+    if isinstance(arg, (list, tuple)):
+        return [dequantize(t) for t in arg]
+    return arg
 
 
-def qsoftmax(x: Tensor, out_qp) -> Tensor:
-    return quantize(softmax(dequantize(x)), out_qp)
+def _on_real_values(float_fn):
+    """The int8 op of ``float_fn``: dequantize, the float op, quantize to out_qp.
+
+    This is the real-valued op between dequantize and quantize that defines
+    a quantized op (Jacob et al., arXiv 1712.05877).
+    """
+    def run(*args):
+        return quantize(float_fn(*map(_real, args[:-1])), args[-1])
+
+    return run
 
 
-def qconcat_channels(tensors, out_qp) -> Tensor:
-    parts = [dequantize(t) for t in tensors]
-    return quantize(concat_channels(parts), out_qp)
-
-
-def qresize_bilinear(x: Tensor, out_h, out_w, out_qp) -> Tensor:
-    return quantize(resize_bilinear(dequantize(x), out_h, out_w), out_qp)
+qadd = _on_real_values(add)
+qsoftmax = _on_real_values(softmax)
+qconcat_channels = _on_real_values(concat_channels)
+qresize_bilinear = _on_real_values(resize_bilinear)
 
 
 def qpool(x: Tensor, kind, window, stride, padding, out_qp) -> Tensor:

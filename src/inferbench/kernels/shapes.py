@@ -1,7 +1,11 @@
-"""Window geometry: the one copy the kernels and ``graph._infer_shape`` share.
+"""Shape rules: the one copy the kernels and ``graph._infer_shape`` share.
 
-Output extents, padding, pool windows and the check that every window,
-stride and resize extent is a pair of extents >= 1 all live here.
+Output extents, padding, pool windows, the check that every window, stride
+and resize extent is a pair of extents >= 1, and the operand rules of conv,
+fully connected, add and concat all live here.  Each rule takes shapes, not
+tensors, returns the output shape and raises ``ShapeError`` when the
+operands do not fit, so ``validate`` and every backend's kernel reject the
+same graphs with the same message.
 
 Padding follows the TensorFlow convention:
   same  -> out = ceil(in / stride), zero padding split top/bottom with the
@@ -71,3 +75,42 @@ def pool_geometry(in_hw, kind, window, stride, padding):
     out_hw = conv_out_hw(in_hw, window, stride, padding)
     pads = tuple(pad_amounts(*axis, padding) for axis in zip(in_hw, window, stride))
     return window, stride, pads, out_hw
+
+
+def conv_shape(x_shape, w_shape, stride, padding, depthwise=False):
+    """NHWC output shape of a conv of ``x_shape`` by an HWIO ``w_shape``.
+
+    A depthwise weight is (kh, kw, C, 1) and keeps the C channels apart.
+    """
+    kh, kw, cin, cout = w_shape
+    if depthwise:
+        if cout != 1:
+            raise ShapeError(f"depthwise weights need trailing extent 1, got {cout}")
+        cout = cin
+    if x_shape[3] != cin:
+        raise ShapeError(f"input channels {x_shape[3]} != weight Cin {cin}")
+    return (x_shape[0], *conv_out_hw(x_shape[1:3], (kh, kw), stride, padding), cout)
+
+
+def fc_shape(x_shape, w_shape):
+    """Output shape of a fully connected layer on the flattened input."""
+    rows, cols = w_shape[-2:]
+    flat = x_shape[1] * x_shape[2] * x_shape[3]
+    if flat != rows:
+        raise ShapeError(f"flattened input length {flat} != weight rows {rows}")
+    return (x_shape[0], 1, 1, cols)
+
+
+def add_shape(a_shape, b_shape):
+    if a_shape != b_shape:
+        raise ShapeError(f"add operands differ: {a_shape} vs {b_shape}")
+    return a_shape
+
+
+def concat_shape(shapes):
+    """Output shape of a channel concat; the N, H and W extents must agree."""
+    base = shapes[0][:3]
+    for s in shapes[1:]:
+        if s[:3] != base:
+            raise ShapeError(f"concat spatial extents differ: {s[:3]} vs {base}")
+    return (*base, sum(s[3] for s in shapes))

@@ -118,16 +118,18 @@ def _observe_ranges(graph, x):
     return ranges
 
 
-def _quantize_weights(weights):
-    """Per-tensor int8 codes from each weight's own min/max.
+def _quantize_weights(spec):
+    """Per-tensor int8 codes for each node's weight, from its own min/max.
 
-    Biases (``_b``) stay real-valued; the kernels convert them to int32 at
-    the accumulator scale.
+    A node's first weight ref is its weight and its second its bias.
+    Biases stay real-valued; the kernels convert them to int32 at the
+    accumulator scale.
     """
+    quantized = {node.weight_refs[0] for node in spec.nodes if node.weight_refs}
     return {
-        name: t if name.endswith("_b") else quantize(
-            t, qparams_from_range(float(t.data.min()), float(t.data.max())))
-        for name, t in weights.items()
+        name: quantize(t, qparams_from_range(float(t.data.min()), float(t.data.max())))
+        if name in quantized else t
+        for name, t in spec.weights.items()
     }
 
 
@@ -150,7 +152,7 @@ def quantize_graph(spec: GraphSpec, ranges) -> GraphSpec:
         input_shape=spec.input_shape,
         nodes=nodes,
         output_id=spec.output_id,
-        weights=_quantize_weights(spec.weights),
+        weights=_quantize_weights(spec),
         dtype_profile=INT8Q,
     )
 

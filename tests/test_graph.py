@@ -23,7 +23,7 @@ from inferbench.graph import (
 from inferbench.kernels import KernelSet, optimized, quantized, reference
 from inferbench.kernels.shapes import SAME, VALID
 from inferbench.runner import preferred_backend
-from inferbench.tensor import INT8Q, QuantParams, Tensor
+from inferbench.tensor import FLOAT32, INT8Q, QuantParams, Tensor, quantize
 from inferbench.workloads import generate_input, instantiate
 
 import oracles
@@ -166,6 +166,91 @@ def test_kernels_called_directly_reject_a_stride_below_one():
             pool(x, "max", (0, 2))
 
 
+# One bad-shape case per operand rule of ``kernels.shapes``: rule id, op,
+# input shapes, weight shape, message.  The second input of add and concat
+# is node "p": a 1x1 conv to 4 channels, or a 2x2 max pool.
+_SHAPE_RULE_CASES = [
+    ("conv-cin", "conv2d", [(1, 6, 6, 3)], (3, 3, 2, 4), "weight Cin"),
+    ("depthwise-cin", "depthwise_conv2d", [(1, 6, 6, 3)], (3, 3, 2, 1),
+     "weight Cin"),
+    ("depthwise-trailing", "depthwise_conv2d", [(1, 6, 6, 3)], (3, 3, 3, 2),
+     "trailing extent 1"),
+    ("fc-rows", "fully_connected", [(1, 6, 6, 3)], (1, 1, 100, 5),
+     "weight rows"),
+    ("add-operands", "add", [(1, 6, 6, 3), (1, 6, 6, 4)], None,
+     "add operands differ"),
+    ("concat-spatial", "concat_channels", [(1, 6, 6, 3), (1, 3, 3, 3)], None,
+     "concat spatial extents differ"),
+]
+
+# op -> every backend's math function for it, with its dtype
+_SHAPE_RULE_KERNELS = {
+    "conv2d": [(reference.conv2d, FLOAT32), (optimized.conv2d, FLOAT32),
+               (reference.qconv2d, INT8Q), (quantized.qconv2d, INT8Q)],
+    "depthwise_conv2d": [
+        (reference.depthwise_conv2d, FLOAT32),
+        (optimized.depthwise_conv2d, FLOAT32),
+        (reference.qdepthwise_conv2d, INT8Q),
+        (quantized.qdepthwise_conv2d, INT8Q)],
+    "fully_connected": [
+        (reference.fully_connected, FLOAT32),
+        (optimized.fully_connected, FLOAT32),
+        (reference.qfully_connected, INT8Q), (quantized.qfully_connected, INT8Q)],
+    "add": [(reference.add, FLOAT32), (reference.qadd, INT8Q)],
+    "concat_channels": [(reference.concat_channels, FLOAT32),
+                        (reference.qconcat_channels, INT8Q)],
+}
+
+
+def _bad_shape_spec(op, in_shapes, w_shape):
+    weights, nodes, inputs = {}, [], [INPUT_ID]
+    if len(in_shapes) == 2:
+        if in_shapes[1][3] == 4:
+            weights.update(p_w=_w((1, 1, 3, 4)), p_b=_w((1, 1, 1, 4)))
+            nodes.append(OperatorNode("p", "conv2d", [INPUT_ID], {}, ["p_w", "p_b"]))
+        else:
+            nodes.append(OperatorNode("p", "pool", [INPUT_ID],
+                                      {"kind": "max", "window": (2, 2)}))
+        inputs.append("p")
+    refs = []
+    if w_shape is not None:
+        weights.update(bad_w=_w(w_shape), bad_b=_w((1, 1, 1, w_shape[3])))
+        refs = ["bad_w", "bad_b"]
+    nodes.append(OperatorNode("bad", op, inputs, {}, refs))
+    return GraphSpec("bad-shape", in_shapes[0], nodes, "bad", weights)
+
+
+def _direct_args(op, in_shapes, w_shape, dtype):
+    qp = QuantParams(0.01, 0)
+
+    def operand(shape):
+        t = _w(shape)
+        return quantize(t, qp) if dtype == INT8Q else t
+
+    ins = [operand(s) for s in in_shapes]
+    if op == "add":
+        args = ins
+    elif op == "concat_channels":
+        args = [ins]
+    elif op == "fully_connected":
+        args = [ins[0], operand(w_shape), None]
+    else:
+        args = [ins[0], operand(w_shape), None, (1, 1), SAME]
+    return args + [qp] if dtype == INT8Q else args
+
+
+@pytest.mark.parametrize("case", _SHAPE_RULE_CASES, ids=[c[0] for c in _SHAPE_RULE_CASES])
+def test_each_shape_rule_rejects_in_validate_and_in_every_kernel(case):
+    _, op, in_shapes, w_shape, message = case
+    with pytest.raises(GraphValidationError, match=message) as err:
+        validate(_bad_shape_spec(op, in_shapes, w_shape))
+    assert err.value.node_id == "bad"
+    assert "'bad'" in str(err.value)
+    for fn, dtype in _SHAPE_RULE_KERNELS[op]:
+        with pytest.raises(ShapeError, match=message):
+            fn(*_direct_args(op, in_shapes, w_shape, dtype))
+
+
 def test_validate_rejects_an_unknown_dtype_profile():
     spec = replace(_simple_spec(), dtype_profile="fp16")
     with pytest.raises(GraphValidationError, match="dtype_profile"):
@@ -266,8 +351,8 @@ def test_count_macs_simple():
 
 
 def test_count_macs_alternate_resolution():
-    g = validate(_simple_spec())
-    assert count_macs(g, (1, 12, 12, 3)) == 4 * (3888 + 288)
+    g = validate(replace(_simple_spec(), input_shape=(1, 12, 12, 3)))
+    assert count_macs(g) == 4 * (3888 + 288)
 
 
 def test_count_other_ops_counts_elementwise_outputs():

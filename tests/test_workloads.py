@@ -5,17 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from inferbench.errors import WorkloadError
-from inferbench.graph import count_macs, count_params, execute, validate
+from inferbench.errors import GraphValidationError, WorkloadError
+from inferbench.graph import (
+    INPUT_ID, GraphSpec, OperatorNode, count_macs, count_params, execute, validate,
+)
 from inferbench.kernels import KernelSet, optimized
 from inferbench.kernels.shapes import stride_hw
-from inferbench.tensor import FLOAT32, INT8Q, Tensor
+from inferbench.tensor import FLOAT32, INT8Q, Tensor, qparams_from_range, quantize
 from inferbench.workloads import (
     DEFAULT_BUDGETS_S,
     DEFAULT_SEED,
     all_default_specs,
     generate_input,
     instantiate,
+    quantize_graph,
     weight_bytes,
     _make_spec,
 )
@@ -163,6 +166,21 @@ def test_t1_is_int8_with_float_biases():
             assert t.dtype == INT8Q
     for node in graph.spec.nodes:
         assert "out_qp" in node.attributes
+
+
+def test_quantize_graph_picks_the_weight_by_role_not_by_name():
+    weights = {"k": Tensor(uniform_stream(3, 0, 108, -1, 1).reshape(3, 3, 3, 4)),
+               "c": Tensor(uniform_stream(4, 0, 4, -1, 1).reshape(1, 1, 1, 4))}
+    nodes = [OperatorNode("conv", "conv2d", [INPUT_ID], {}, ["k", "c"])]
+    spec = GraphSpec("roles", (1, 6, 6, 3), nodes, "conv", weights)
+    q = quantize_graph(spec, {"conv": (-2.0, 2.0)})
+    assert q.weights["k"].dtype == INT8Q
+    assert q.weights["c"].dtype == FLOAT32
+    validate(q)
+    int8_bias = quantize(weights["c"], qparams_from_range(-1.0, 1.0))
+    with pytest.raises(GraphValidationError, match="float32 bias") as err:
+        validate(dataclasses.replace(q, weights={**q.weights, "c": int8_bias}))
+    assert err.value.node_id == "conv"
 
 
 def test_t1_quantized_output_tracks_float_twin():
