@@ -58,6 +58,10 @@ _ATTR_SCHEMA = {
 
 _WEIGHT_COUNT = {"conv2d": 2, "depthwise_conv2d": 2, "fully_connected": 2}
 
+# Input count per op kind as (fewest, most), None for no limit; every op
+# not listed takes exactly one input.
+_INPUT_COUNT = {"add": (2, 2), "concat_channels": (1, None)}
+
 
 def _infer_shape(node, in_shapes, weights):
     """Output shape of one node given its input shapes and weight tensors."""
@@ -127,6 +131,15 @@ def validate(spec: GraphSpec) -> Graph:
         if node.id in seen:
             raise GraphValidationError(
                 f"duplicate node id {node.id!r}", node_id=node.id
+            )
+        n_in = len(node.input_ids)
+        fewest, most = _INPUT_COUNT.get(node.op_kind, (1, 1))
+        if n_in < fewest or (most is not None and n_in > most):
+            wanted = f"{fewest}" if fewest == most else f"at least {fewest}"
+            raise GraphValidationError(
+                f"node {node.id!r}: {node.op_kind} needs {wanted} input(s), "
+                f"got {n_in}",
+                node_id=node.id,
             )
         for ref in node.input_ids:
             if ref not in seen:

@@ -37,9 +37,12 @@ def _as_vec(bias, n):
 def _zero_pad(x, kh, kw, stride, padding):
     pt, pb = pad_amounts(x.shape[1], kh, stride[0], padding)
     pl, pr = pad_amounts(x.shape[2], kw, stride[1], padding)
-    if pt or pb or pl or pr:
-        x = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    return x
+    if not (pt or pb or pl or pr):
+        return x
+    n, h, w, c = x.shape
+    xp = np.zeros((n, pt + h + pb, pl + w + pr, c), dtype=x.dtype)
+    xp[:, pt : pt + h, pl : pl + w] = x
+    return xp
 
 
 # The direct loops below serve both dtypes.  Their operands are arrays in
@@ -182,9 +185,11 @@ def softmax(x: Tensor) -> Tensor:
 
 # These caps keep the quantized backend's fast accumulators exact.  A conv
 # sums K = kh * kw * cin <= 9 * 9 * 1024 = 82944 products of centered codes,
-# each at most 255 * 255, so |acc| <= 255**2 * 82944 ~ 5.4e9 < 2**53: float64
-# holds every partial sum exactly, in any order.  A depthwise conv sums
-# kh * kw <= 81 of them, so |acc| <= 255**2 * 81 ~ 5.3e6 < 2**31: int32 does.
+# each at most 255 * 255.  The quantized backend sums them in float32 chunks
+# of at most 256 products (|chunk| <= 256 * 255**2 < 2**24) and adds the
+# chunks in float64, where |acc| <= 255**2 * 82944 ~ 5.4e9 < 2**53: every
+# partial sum is an exact integer, in any order.  A depthwise conv sums
+# kh * kw <= 81 products, so |acc| <= 255**2 * 81 ~ 5.3e6 < 2**31: int32 does.
 MAX_Q_KERNEL = 9
 MAX_Q_CHANNELS = 1024
 
@@ -205,10 +210,13 @@ def quantize_bias(bias, in_qp: QuantParams, w_qp: QuantParams):
 
 
 def requantize(acc, in_qp, w_qp, out_qp):
-    """int accumulator -> int8 codes under out_qp."""
+    """Exact integer accumulator (int64, or float64 holding integers) ->
+    int8 codes under out_qp, rounded, shifted and clipped in one buffer."""
     mult = (in_qp.scale * w_qp.scale) / out_qp.scale
-    q = round_half_away(acc.astype(np.float64) * mult) + out_qp.zero_point
-    return np.clip(q, -128, 127).astype(np.int8)
+    q = np.multiply(acc, mult, dtype=np.float64)
+    round_half_away(q, out=q)
+    q += out_qp.zero_point
+    return np.clip(q, -128, 127, out=q).astype(np.int8)
 
 
 def _centered(t):

@@ -81,10 +81,15 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{qp})"
 
 
-def round_half_away(x):
-    """Round to nearest with halves away from zero (all languages agree)."""
+def round_half_away(x, out=None):
+    """Round to nearest with halves away from zero (all languages agree).
+
+    ``x + copysign(0.5, x)`` rounds exactly as ``|x| + 0.5`` does, with the
+    sign of ``x``, so this equals ``sign(x) * floor(|x| + 0.5)`` for every
+    float.  ``out`` may be ``x`` itself, to round a buffer in place.
+    """
     x = np.asarray(x)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return np.trunc(np.add(x, np.copysign(0.5, x), out=out), out=out)
 
 
 def quantize(t: Tensor, qp: QuantParams) -> Tensor:

@@ -154,6 +154,11 @@ def round_half_away_oracle(v):
     return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
 
 
+def sign_floor_round(x):
+    """Round half away from zero as sign(x) * floor(|x| + 0.5), elementwise."""
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
 def quantize_oracle(x, scale, zero_point):
     out = np.zeros(x.shape, dtype=np.int8)
     flat_in, flat_out = x.ravel(), out.ravel()

@@ -147,6 +147,19 @@ def test_validate_rejects_bad_window_attributes(node, message):
     assert "'p'" in str(err.value)
 
 
+@pytest.mark.parametrize("op_kind, inputs, message", [
+    ("add", [INPUT_ID], "add needs 2 input"),
+    ("relu", [INPUT_ID, INPUT_ID], "relu needs 1 input"),
+    ("concat_channels", [], "concat_channels needs at least 1 input"),
+    ("softmax", [], "softmax needs 1 input"),
+], ids=["add-one-input", "relu-two-inputs", "concat-no-inputs", "softmax-no-inputs"])
+def test_validate_rejects_a_wrong_input_count(op_kind, inputs, message):
+    spec = GraphSpec("one", (1, 4, 4, 2), [OperatorNode("n", op_kind, inputs)], "n", {})
+    with pytest.raises(GraphValidationError, match=message) as err:
+        validate(spec)
+    assert err.value.node_id == "n"
+
+
 def test_validate_rejects_a_conv_stride_below_one():
     spec = _simple_spec()
     spec.nodes[2].attributes["stride"] = (1, 0)

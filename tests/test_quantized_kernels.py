@@ -122,15 +122,25 @@ def _cap_operands(x_shape, w_shape):
     return x, w
 
 
+# K = 259 = 256 + 3: one float32 GEMM chunk at its largest sum,
+# 256 * 255**2 < 2**24, then a partial chunk of 3 rows.  The total,
+# 259 * 255**2, is odd and above 2**24, so no float32 can hold it: a chunk
+# longer than 258 rows, or a dropped partial chunk, moves an output code.
+SPLIT_K = 259
+
+
 def test_int8_accumulators_exact_at_config_cap():
     k, c = reference.MAX_Q_KERNEL, reference.MAX_Q_CHANNELS
+    split_acc = -(255**2) * SPLIT_K
+    assert split_acc % 2 and -split_acc > 2**24
     acc = -(255**2) * k * k * c
     assert acc == -5_393_433_600  # beyond int32, within float64's 2**53
-    x, w = _cap_operands((1, k, k, c), (k, k, c, 2))
-    bias = np.array([-acc + 3, -acc - 5], dtype=np.int64)
-    for conv in (reference.qconv2d, quantized.qconv2d):
-        got = conv(x, w, bias, (1, 1), VALID, CAP_OUT_QP)
-        assert got.data.reshape(-1).tolist() == [3, -5]
+    for kh, cin, total in ((k, c, acc), (1, SPLIT_K, split_acc)):
+        x, w = _cap_operands((1, kh, kh, cin), (kh, kh, cin, 2))
+        bias = np.array([-total + 3, -total - 5], dtype=np.int64)
+        for conv in (reference.qconv2d, quantized.qconv2d):
+            got = conv(x, w, bias, (1, 1), VALID, CAP_OUT_QP)
+            assert got.data.reshape(-1).tolist() == [3, -5]
 
     dw_acc = -(255**2) * k * k
     x, w = _cap_operands((1, k, k, 3), (k, k, 3, 1))
@@ -139,12 +149,13 @@ def test_int8_accumulators_exact_at_config_cap():
         got = dw(x, w, bias, (1, 1), VALID, CAP_OUT_QP)
         assert got.data.reshape(-1).tolist() == [1, 2, -4]
 
-    fc_acc = -(255**2) * c
-    x, w = _cap_operands((1, 1, 1, c), (1, 1, c, 2))
-    bias = np.array([-fc_acc + 5, -fc_acc - 7], dtype=np.int64)
-    for fc in (reference.qfully_connected, quantized.qfully_connected):
-        got = fc(x, w, bias, CAP_OUT_QP)
-        assert got.data.reshape(-1).tolist() == [5, -7]
+    for rows in (c, SPLIT_K):
+        fc_acc = -(255**2) * rows
+        x, w = _cap_operands((1, 1, 1, rows), (1, 1, rows, 2))
+        bias = np.array([-fc_acc + 5, -fc_acc - 7], dtype=np.int64)
+        for fc in (reference.qfully_connected, quantized.qfully_connected):
+            got = fc(x, w, bias, CAP_OUT_QP)
+            assert got.data.reshape(-1).tolist() == [5, -7]
 
 
 def test_qrelu_clamps_at_zero_point():
@@ -187,3 +198,20 @@ def test_requantize_round_half_away():
     got = reference.requantize(acc, QuantParams(1.0, 0), QuantParams(1.0, 0),
                                QuantParams(10.0, 0))
     assert got.tolist() == [1, -1]
+
+
+def test_requantize_same_codes_from_int64_and_float64_accumulators():
+    rng = np.random.default_rng(11)
+    acc = np.concatenate([
+        rng.integers(-(2**33), 2**33, 10**5),
+        rng.integers(-5000, 5000, 10**5),
+        [0, 1, -1, 2**52, -(2**52)],
+    ]).astype(np.int64)
+    for out_s, out_zp in ((10.0, 0), (0.37, -100), (1.0e-4, 127), (2.0**-20, 5)):
+        qps = QuantParams(0.5, 3), QuantParams(0.25, -7), QuantParams(out_s, out_zp)
+        from_int = reference.requantize(acc, *qps)
+        assert np.array_equal(from_int, reference.requantize(acc.astype(np.float64), *qps))
+        mult = qps[0].scale * qps[1].scale / out_s
+        x = acc.astype(np.float64) * mult
+        want = np.clip(oracles.sign_floor_round(x) + out_zp, -128, 127)
+        assert np.array_equal(from_int, want.astype(np.int8))

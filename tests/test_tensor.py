@@ -15,7 +15,12 @@ from inferbench.tensor import (
     round_half_away,
 )
 
-from oracles import dequantize_oracle, quantize_oracle, round_half_away_oracle
+from oracles import (
+    dequantize_oracle,
+    quantize_oracle,
+    round_half_away_oracle,
+    sign_floor_round,
+)
 
 
 def test_tensor_requires_rank4():
@@ -59,6 +64,23 @@ def test_round_half_away_matches_oracle():
     got = round_half_away(np.array(vals))
     want = [round_half_away_oracle(v) for v in vals]
     assert got.tolist() == want
+
+
+def test_round_half_away_matches_oracle_and_sign_floor_form():
+    halves = np.arange(300) + 0.5
+    halves = np.concatenate([halves, -halves])
+    big = 2.0**52 + np.arange(-4, 5) / 2
+    big = np.concatenate([big, big + 1, 2.0**53 + np.arange(0, 9, 2)])
+    rng = np.random.default_rng(5)
+    vals = np.concatenate([
+        halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
+        [0.0, -0.0, 0.49999999999999994, -0.49999999999999994], big, -big,
+        rng.standard_normal(10**6) * 2.0 ** rng.integers(0, 30, 10**6),
+    ])
+    got = round_half_away(vals)
+    assert np.array_equal(got, sign_floor_round(vals))
+    want = np.array([round_half_away_oracle(v) for v in vals.tolist()], dtype=np.float64)
+    assert np.array_equal(got, want)
 
 
 def test_zero_point_dequantizes_to_zero():
