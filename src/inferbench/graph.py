@@ -4,8 +4,9 @@ A GraphSpec is an ordered list of operator nodes over a named weight store.
 Nodes may only reference earlier nodes or the graph input, so the list order
 is already a topological order and cycles are impossible by construction.
 ``validate`` records each node's release list once (``Graph.releases``);
-``execute`` and ``peak_activation_bytes`` both walk it.  Window geometry
-lives in ``kernels.shapes``.
+``execute`` and ``peak_activation_bytes`` both walk it.  What a node of
+each kind holds (arity, weights, required attributes), its output shape
+and its MAC count come from ``kernels.OPS``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ExecutionError, GraphValidationError, ShapeError
-from .kernels import OP_KINDS
-from .kernels.shapes import (
-    SAME, VALID, add_shape, concat_shape, conv_shape, extents_hw, fc_shape,
-    pool_geometry, stride_hw,
-)
+from .kernels import OPS
 from .tensor import DTYPE_WIDTH, FLOAT32, INT8Q, Tensor
 
 INPUT_ID = "input"
@@ -43,48 +40,18 @@ class GraphSpec:
     dtype_profile: str = FLOAT32
 
 
-# Required attribute keys per op kind (beyond defaults).
-_ATTR_SCHEMA = {
-    "conv2d": (),
-    "depthwise_conv2d": (),
-    "fully_connected": (),
-    "pool": ("kind",),
-    "resize_bilinear": ("out_h", "out_w"),
-    "add": (),
-    "relu": (),
-    "concat_channels": (),
-    "softmax": (),
-}
-
-_WEIGHT_COUNT = {"conv2d": 2, "depthwise_conv2d": 2, "fully_connected": 2}
-
-# Input count per op kind as (fewest, most), None for no limit; every op
-# not listed takes exactly one input.
-_INPUT_COUNT = {"add": (2, 2), "concat_channels": (1, None)}
-
-
 def _infer_shape(node, in_shapes, weights):
     """Output shape of one node given its input shapes and weight tensors."""
-    kind = node.op_kind
-    a = node.attributes
-    x = in_shapes[0]
-    if kind in ("conv2d", "depthwise_conv2d"):
-        return conv_shape(x, weights[0].shape, stride_hw(a), a.get("padding", SAME),
-                          depthwise=kind == "depthwise_conv2d")
-    if kind == "fully_connected":
-        return fc_shape(x, weights[0].shape)
-    if kind == "pool":
-        *_, (oh, ow) = pool_geometry(x[1:3], a["kind"], a.get("window"),
-                                     a.get("pool_stride"), a.get("padding", VALID))
-        return (x[0], oh, ow, x[3])
-    if kind == "resize_bilinear":
-        return (x[0], *extents_hw((a["out_h"], a["out_w"]), "resize output"), x[3])
-    if kind == "add":
-        return add_shape(x, in_shapes[1])
-    if kind == "concat_channels":
-        return concat_shape(in_shapes)
-    # relu / softmax
-    return x
+    op = OPS[node.op_kind]
+    return op.shape(*op.args(in_shapes, [w.shape for w in weights], node.attributes))
+
+
+# A weighted node's (weight, bias) dtypes per profile, as a message names
+# them; the int8 kernels quantize a real-valued bias at the accumulator scale.
+_WEIGHT_DTYPES = {
+    FLOAT32: ([FLOAT32, FLOAT32], "float32 weight and bias"),
+    INT8Q: ([INT8Q, FLOAT32], "int8 weight, float32 bias"),
+}
 
 
 class Graph:
@@ -122,9 +89,11 @@ def validate(spec: GraphSpec) -> Graph:
         raise GraphValidationError("input_shape must have 4 extents")
     if spec.dtype_profile not in DTYPE_WIDTH:
         raise GraphValidationError(f"unknown dtype_profile {spec.dtype_profile!r}")
+    dtypes, wanted = _WEIGHT_DTYPES[spec.dtype_profile]
     seen = {INPUT_ID}
     for node in spec.nodes:
-        if node.op_kind not in OP_KINDS:
+        op = OPS.get(node.op_kind)
+        if op is None:
             raise GraphValidationError(
                 f"node {node.id!r}: unknown op {node.op_kind!r}", node_id=node.id
             )
@@ -133,7 +102,7 @@ def validate(spec: GraphSpec) -> Graph:
                 f"duplicate node id {node.id!r}", node_id=node.id
             )
         n_in = len(node.input_ids)
-        fewest, most = _INPUT_COUNT.get(node.op_kind, (1, 1))
+        fewest, most = op.inputs
         if n_in < fewest or (most is not None and n_in > most):
             wanted = f"{fewest}" if fewest == most else f"at least {fewest}"
             raise GraphValidationError(
@@ -148,15 +117,14 @@ def validate(spec: GraphSpec) -> Graph:
                     "earlier node or the graph input",
                     node_id=node.id,
                 )
-        for key in _ATTR_SCHEMA[node.op_kind]:
+        for key in op.attrs:
             if key not in node.attributes:
                 raise GraphValidationError(
                     f"node {node.id!r} missing attribute {key!r}", node_id=node.id
                 )
-        expected_w = _WEIGHT_COUNT.get(node.op_kind, 0)
-        if len(node.weight_refs) != expected_w:
+        if len(node.weight_refs) != op.weights:
             raise GraphValidationError(
-                f"node {node.id!r} needs {expected_w} weight refs, "
+                f"node {node.id!r} needs {op.weights} weight refs, "
                 f"got {len(node.weight_refs)}",
                 node_id=node.id,
             )
@@ -166,21 +134,18 @@ def validate(spec: GraphSpec) -> Graph:
                     f"node {node.id!r} references missing weight {ref!r}",
                     node_id=node.id,
                 )
-        if spec.dtype_profile == INT8Q:
-            if node.attributes.get("out_qp") is None:
-                raise GraphValidationError(
-                    f"node {node.id!r}: int8 profile needs attribute 'out_qp'",
-                    node_id=node.id,
-                )
-            # the kernels quantize a real-valued bias at the accumulator scale
-            if (node.op_kind in _WEIGHT_COUNT
-                    and [spec.weights[r].dtype for r in node.weight_refs]
-                    != [INT8Q, FLOAT32]):
-                raise GraphValidationError(
-                    f"node {node.id!r}: weight dtype does not match int8 profile "
-                    "(int8 weight, float32 bias)",
-                    node_id=node.id,
-                )
+        if spec.dtype_profile == INT8Q and node.attributes.get("out_qp") is None:
+            raise GraphValidationError(
+                f"node {node.id!r}: int8 profile needs attribute 'out_qp'",
+                node_id=node.id,
+            )
+        if (op.weights
+                and [spec.weights[r].dtype for r in node.weight_refs] != dtypes):
+            raise GraphValidationError(
+                f"node {node.id!r}: weight dtype does not match "
+                f"{spec.dtype_profile} profile ({wanted})",
+                node_id=node.id,
+            )
         seen.add(node.id)
     if spec.output_id not in seen or spec.output_id == INPUT_ID:
         raise GraphValidationError(f"output id {spec.output_id!r} is not a node")
@@ -251,30 +216,17 @@ def _walk(graph: Graph):
         yield node, graph.node_shapes[node.id]
 
 
-def _node_macs(node, out_shape, weights):
-    kind = node.op_kind
-    if kind == "conv2d":
-        kh, kw, cin, cout = weights[node.weight_refs[0]].shape
-        return out_shape[0] * out_shape[1] * out_shape[2] * kh * kw * cin * cout
-    if kind == "depthwise_conv2d":
-        kh, kw, c, _ = weights[node.weight_refs[0]].shape
-        return out_shape[0] * out_shape[1] * out_shape[2] * kh * kw * c
-    if kind == "fully_connected":
-        rows, cols = weights[node.weight_refs[0]].shape[-2:]
-        return out_shape[0] * rows * cols
-    return 0
-
-
 def count_macs(graph: Graph) -> int:
-    """Multiply-accumulate count; non-MAC ops contribute zero here."""
+    """Multiply-accumulate count of the weighted ops (conv, depthwise, FC)."""
     weights = graph.spec.weights
-    return sum(_node_macs(node, shape, weights) for node, shape in _walk(graph))
+    return sum(OPS[node.op_kind].macs(shape, weights[node.weight_refs[0]].shape)
+               for node, shape in _walk(graph) if OPS[node.op_kind].weights)
 
 
 def count_other_ops(graph: Graph) -> int:
-    """Output elements produced by non-MAC ops (pool/resize/elementwise)."""
+    """Output elements produced by the ops without weights (pool/resize/elementwise)."""
     return sum(math.prod(shape) for node, shape in _walk(graph)
-               if node.op_kind not in _WEIGHT_COUNT)
+               if not OPS[node.op_kind].weights)
 
 
 def _live_buffers(graph: Graph):

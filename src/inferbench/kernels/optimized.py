@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..tensor import Tensor
 from . import KernelSet
 from .im2col import im2col
-from .shapes import SAME, VALID, conv_shape, extents_hw, fc_shape, pool_geometry
+from .shapes import SAME, VALID, conv_shape, fc_shape, pool_geometry, resize_shape
 from . import reference
 from .reference import _as_vec, _zero_pad
 
@@ -31,7 +31,7 @@ def _tiles(n_images, oh, ow):
 
 
 def conv2d(x, w, bias, stride=(1, 1), padding=SAME):
-    _, oh, ow, cout = conv_shape(x.shape, w.shape, stride, padding)
+    _, oh, ow, cout = conv_shape(x.shape, w.shape, None, stride, padding)
     kh, kw, cin, _ = w.shape
     b = _as_vec(bias, cout).astype(np.float32)
     xp = _zero_pad(x.data, kh, kw, stride, padding)
@@ -45,7 +45,7 @@ def conv2d(x, w, bias, stride=(1, 1), padding=SAME):
 
 
 def depthwise_conv2d(x, w, bias, stride=(1, 1), padding=SAME):
-    _, oh, ow, c = conv_shape(x.shape, w.shape, stride, padding, depthwise=True)
+    _, oh, ow, c = conv_shape(x.shape, w.shape, None, stride, padding, depthwise=True)
     kh, kw = w.shape[:2]
     b = _as_vec(bias, c).astype(np.float32)
     xp = _zero_pad(x.data, kh, kw, stride, padding)
@@ -58,7 +58,7 @@ def depthwise_conv2d(x, w, bias, stride=(1, 1), padding=SAME):
 
 
 def fully_connected(x, w, bias):
-    shape = fc_shape(x.shape, w.shape)
+    shape = fc_shape(x.shape, w.shape, None)
     wm = w.data.reshape(w.shape[-2], w.shape[-1])
     flat = x.data.reshape(x.shape[0], -1)
     b = _as_vec(bias, wm.shape[1]).astype(np.float32)
@@ -83,8 +83,8 @@ def pool(x, kind, window, stride=None, padding=VALID):
 
 
 def resize_bilinear(x, out_h, out_w):
-    extents_hw((out_h, out_w), "resize output")
-    n, h, w, c = x.shape
+    n, out_h, out_w, c = resize_shape(x.shape, out_h, out_w)
+    h, w = x.shape[1:3]
     if (out_h, out_w) == (h, w):
         return Tensor(x.data.copy())
     sy = np.arange(out_h) * (h / out_h)

@@ -70,7 +70,7 @@ def _exact_gemm(a, w, bias_i32):
 
 
 def qconv2d(x, w, bias_i32, stride, padding, out_qp):
-    shape = conv_shape(x.shape, w.shape, stride, padding)
+    shape = conv_shape(x.shape, w.shape, None, stride, padding)
     kh, kw, cin, _ = w.shape
     _check_q_config(kh, kw, cin)
     # zero padding of centered codes represents real zeros
@@ -81,7 +81,7 @@ def qconv2d(x, w, bias_i32, stride, padding, out_qp):
 
 
 def qdepthwise_conv2d(x, w, bias_i32, stride, padding, out_qp):
-    _, oh, ow, c = conv_shape(x.shape, w.shape, stride, padding, depthwise=True)
+    _, oh, ow, c = conv_shape(x.shape, w.shape, None, stride, padding, depthwise=True)
     kh, kw = w.shape[:2]
     _check_q_config(kh, kw, 1)
     sh, sw = stride
@@ -99,7 +99,7 @@ def qdepthwise_conv2d(x, w, bias_i32, stride, padding, out_qp):
 
 
 def qfully_connected(x, w, bias_i32, out_qp):
-    shape = fc_shape(x.shape, w.shape)
+    shape = fc_shape(x.shape, w.shape, None)
     flat = _centered(x).reshape(x.shape[0], -1)
     q = requantize(_exact_gemm(flat, w, bias_i32), x.qparams, w.qparams, out_qp)
     return Tensor(q.reshape(shape), INT8Q, out_qp)

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import QuantizationError, ShapeError
+from ..errors import QuantizationError
 from ..tensor import FLOAT32, INT8Q, QuantParams, Tensor, dequantize, quantize, round_half_away
-from . import KernelSet
+from . import OPS, KernelSet
 from .shapes import (
-    SAME, VALID, add_shape, concat_shape, conv_shape, extents_hw, fc_shape,
-    pad_amounts, pool_geometry, stride_hw,
+    SAME, VALID, add_shape, check_bias, concat_shape, conv_shape, fc_shape,
+    pad_amounts, pool_geometry, resize_shape,
 )
 
 
@@ -29,8 +29,7 @@ def _as_vec(bias, n):
         return np.zeros(n, dtype=np.float32)
     b = bias.data if isinstance(bias, Tensor) else np.asarray(bias)
     b = b.reshape(-1)
-    if b.size != n:
-        raise ShapeError(f"bias length {b.size} != channels {n}")
+    check_bias(b.shape, n)
     return b
 
 
@@ -53,7 +52,7 @@ def _zero_pad(x, kh, kw, stride, padding):
 
 def _direct_conv(xd, wd, bias, stride, padding, depthwise=False):
     """Conv or depthwise conv plus bias, one output position at a time."""
-    shape = conv_shape(xd.shape, wd.shape, stride, padding, depthwise)
+    shape = conv_shape(xd.shape, wd.shape, None, stride, padding, depthwise)
     kh, kw = wd.shape[:2]
     b = _as_vec(bias, shape[3]).astype(xd.dtype)
     xp = _zero_pad(xd, kh, kw, stride, padding)
@@ -77,7 +76,7 @@ def _direct_conv(xd, wd, bias, stride, padding, depthwise=False):
 
 def _direct_fc(xd, wd, bias):
     """Fully connected plus bias on the flattened input, one dot per output."""
-    shape = fc_shape(xd.shape, wd.shape)
+    shape = fc_shape(xd.shape, wd.shape, None)
     wm = wd.reshape(wd.shape[-2], wd.shape[-1])
     flat = xd.reshape(xd.shape[0], -1)
     b = _as_vec(bias, shape[3]).astype(xd.dtype)
@@ -138,8 +137,8 @@ def _avg_patch(patch):
 
 def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     """Bilinear sampling with src = dst * (in/out) (align-corners false)."""
-    extents_hw((out_h, out_w), "resize output")
-    n, h, w, c = x.shape
+    n, out_h, out_w, c = resize_shape(x.shape, out_h, out_w)
+    h, w = x.shape[1:3]
     data = x.data
     out = np.empty((n, out_h, out_w, c), dtype=np.float32)
     hs = h / out_h
@@ -290,36 +289,15 @@ def qpool(x: Tensor, kind, window, stride, padding, out_qp) -> Tensor:
 # --- uniform adapters -----------------------------------------------------
 
 
-def _conv_args(i, w, a):
-    return i[0], w[0], w[1], stride_hw(a), a.get("padding", SAME)
-
-
-# op -> the math function's leading arguments for one node, decoded from its
-# (inputs, weights, attrs); an int8 kernel also takes the node's out_qp last.
-_NODE_ARGS = {
-    "conv2d": _conv_args,
-    "depthwise_conv2d": _conv_args,
-    "fully_connected": lambda i, w, a: (i[0], w[0], w[1]),
-    "pool": lambda i, w, a: (
-        i[0], a["kind"], a.get("window"), a.get("pool_stride"),
-        a.get("padding", VALID),
-    ),
-    "resize_bilinear": lambda i, w, a: (i[0], a["out_h"], a["out_w"]),
-    "add": lambda i, w, a: (i[0], i[1]),
-    "relu": lambda i, w, a: (i[0],),
-    "concat_channels": lambda i, w, a: (i,),
-    "softmax": lambda i, w, a: (i[0],),
-}
-
-
 def _float_entry(fn, args):
     return lambda i, w, a: fn(*args(i, w, a))
 
 
 def float_adapters(funcs):
-    """Build the uniform (inputs, weights, attrs) table from math functions."""
-    return {(op, FLOAT32): _float_entry(funcs[op], args)
-            for op, args in _NODE_ARGS.items()}
+    """Build the uniform (inputs, weights, attrs) table from math functions,
+    each node decoded by its ``OPS`` entry's ``args``."""
+    return {(kind, FLOAT32): _float_entry(funcs[kind], op.args)
+            for kind, op in OPS.items()}
 
 
 def _qbias(w, bias, x):
@@ -350,8 +328,8 @@ def int8_adapters(funcs):
     """int8 table; ``funcs`` holds the backend's conv2d, depthwise_conv2d,
     fully_connected and relu, the other ops are shared."""
     funcs = {**_SHARED_INT8, **funcs}
-    return {(op, INT8Q): _int8_entry(funcs[op], args)
-            for op, args in _NODE_ARGS.items()}
+    return {(kind, INT8Q): _int8_entry(funcs[kind], op.args)
+            for kind, op in OPS.items()}
 
 
 _FLOAT_FUNCS = {

@@ -1,17 +1,23 @@
-"""Shape rules: the one copy the kernels and ``graph._infer_shape`` share.
+"""Shape rules: the one copy the kernels and the op table share.
 
 Output extents, padding, pool windows, the check that every window, stride
-and resize extent is a pair of extents >= 1, and the operand rules of conv,
-fully connected, add and concat all live here.  Each rule takes shapes, not
-tensors, returns the output shape and raises ``ShapeError`` when the
-operands do not fit, so ``validate`` and every backend's kernel reject the
-same graphs with the same message.
+and resize extent is a pair of integer extents >= 1, the bias length, and
+the operand rules of conv, fully connected, pool, resize, add and concat
+all live here.  Each ``*_shape`` rule takes shapes, not tensors, returns
+the output shape and raises ``ShapeError`` when the operands do not fit.
+``kernels.OPS`` names each op's rule and decodes a node's attributes into
+its arguments, so ``validate`` and every backend's kernel reject the same
+graphs with the same message.
 
 Padding follows the TensorFlow convention:
   same  -> out = ceil(in / stride), zero padding split top/bottom with the
            extra row at the bottom/right
   valid -> out = floor((in - k) / stride) + 1, requires in >= k
 """
+
+import math
+
+import numpy as np
 
 from ..errors import ShapeError
 
@@ -39,12 +45,18 @@ def pad_amounts(in_e, k, stride, padding):
     return before, total - before
 
 
+_INTEGER = (int, np.integer)
+
+
 def extents_hw(value, what):
-    """``value`` as an (h, w) pair of extents >= 1; an int applies to both."""
-    pair = (value, value) if isinstance(value, int) else tuple(value)
-    if len(pair) != 2 or min(pair) < 1:
-        raise ShapeError(f"{what} must be two extents >= 1, got {value!r}")
-    return pair
+    """``value`` as an (h, w) pair of integer extents >= 1, from a pair or
+    one integer for both; Python and numpy integers count, nothing else."""
+    pair = (value, value) if isinstance(value, _INTEGER) else value
+    if isinstance(pair, (tuple, list)) and len(pair) == 2:
+        h, w = pair
+        if isinstance(h, _INTEGER) and isinstance(w, _INTEGER) and h >= 1 and w >= 1:
+            return int(h), int(w)
+    raise ShapeError(f"{what} must be two integer extents >= 1, got {value!r}")
 
 
 def conv_out_hw(in_hw, k_hw, stride_hw, padding):
@@ -54,11 +66,6 @@ def conv_out_hw(in_hw, k_hw, stride_hw, padding):
         out_extent(in_hw[0], k_hw[0], stride_hw[0], padding),
         out_extent(in_hw[1], k_hw[1], stride_hw[1], padding),
     )
-
-
-def stride_hw(attrs):
-    """A node's (stride_h, stride_w); an int stride applies to both axes."""
-    return extents_hw(attrs.get("stride", (1, 1)), "stride")
 
 
 def pool_geometry(in_hw, kind, window, stride, padding):
@@ -77,10 +84,26 @@ def pool_geometry(in_hw, kind, window, stride, padding):
     return window, stride, pads, out_hw
 
 
-def conv_shape(x_shape, w_shape, stride, padding, depthwise=False):
+def pool_shape(x_shape, kind, window, stride, padding):
+    *_, (oh, ow) = pool_geometry(x_shape[1:3], kind, window, stride, padding)
+    return (x_shape[0], oh, ow, x_shape[3])
+
+
+def resize_shape(x_shape, out_h, out_w):
+    return (x_shape[0], *extents_hw((out_h, out_w), "resize output"), x_shape[3])
+
+
+def check_bias(b_shape, channels):
+    """A bias of ``b_shape`` holds one value per output channel; None is no bias."""
+    if b_shape is not None and math.prod(b_shape) != channels:
+        raise ShapeError(f"bias length {math.prod(b_shape)} != channels {channels}")
+
+
+def conv_shape(x_shape, w_shape, b_shape, stride, padding, depthwise=False):
     """NHWC output shape of a conv of ``x_shape`` by an HWIO ``w_shape``.
 
     A depthwise weight is (kh, kw, C, 1) and keeps the C channels apart.
+    ``b_shape`` None skips the bias check (``reference._as_vec`` makes it).
     """
     kh, kw, cin, cout = w_shape
     if depthwise:
@@ -89,15 +112,17 @@ def conv_shape(x_shape, w_shape, stride, padding, depthwise=False):
         cout = cin
     if x_shape[3] != cin:
         raise ShapeError(f"input channels {x_shape[3]} != weight Cin {cin}")
+    check_bias(b_shape, cout)
     return (x_shape[0], *conv_out_hw(x_shape[1:3], (kh, kw), stride, padding), cout)
 
 
-def fc_shape(x_shape, w_shape):
+def fc_shape(x_shape, w_shape, b_shape):
     """Output shape of a fully connected layer on the flattened input."""
     rows, cols = w_shape[-2:]
     flat = x_shape[1] * x_shape[2] * x_shape[3]
     if flat != rows:
         raise ShapeError(f"flattened input length {flat} != weight rows {rows}")
+    check_bias(b_shape, cols)
     return (x_shape[0], 1, 1, cols)
 
 

@@ -54,29 +54,6 @@ class WorkloadSpec:
     scale: float
     seed: int
 
-    def validate(self):
-        if not 1 <= self.test_id <= 9:
-            raise WorkloadError(f"test_id must be 1..9, got {self.test_id}")
-        if self.quantized and self.test_id != 1:
-            raise WorkloadError(
-                f"quantized flag is only valid for test 1, got test {self.test_id}"
-            )
-        eligible = _DEFAULTS[self.test_id][4]
-        if self.accelerator_eligible != eligible:
-            raise WorkloadError(
-                f"test {self.test_id} accelerator_eligible must be {eligible}"
-            )
-        if not 0 < self.scale <= 1:
-            raise WorkloadError(f"scale must be in (0, 1], got {self.scale}")
-        budget = _DEFAULTS[self.test_id][5]
-        if budget is None:
-            if self.time_budget_s is not None:
-                raise WorkloadError("the memory probe has no time budget")
-        elif abs(self.time_budget_s - budget * self.scale) > 1e-6:
-            raise WorkloadError(
-                f"test {self.test_id} budget must be {budget}s x scale"
-            )
-
 
 def _scaled_extent(d, scale, min_res):
     if scale == 1.0:

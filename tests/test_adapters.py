@@ -9,6 +9,7 @@ hand rather than decoded from the node's attributes.
 import numpy as np
 import pytest
 
+from inferbench.graph import INPUT_ID, OperatorNode, _infer_shape
 from inferbench.kernels import optimized, quantized, reference
 from inferbench.kernels.shapes import SAME, VALID
 from inferbench.tensor import FLOAT32, INT8Q, Tensor, qparams_from_range, quantize
@@ -142,3 +143,5 @@ def test_apply_equals_direct_call(entry):
     assert got.qparams == want.qparams
     assert got.data.dtype == want.data.dtype
     assert np.array_equal(got.data, want.data)
+    node = OperatorNode("n", op, [INPUT_ID] * len(ins), attrs, [])
+    assert got.shape == _infer_shape(node, [t.shape for t in ins], weights)

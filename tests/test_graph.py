@@ -24,7 +24,8 @@ from inferbench.kernels import KernelSet, optimized, quantized, reference
 from inferbench.kernels.shapes import SAME, VALID
 from inferbench.runner import preferred_backend
 from inferbench.tensor import FLOAT32, INT8Q, QuantParams, Tensor, quantize
-from inferbench.workloads import generate_input, instantiate
+from inferbench.workloads import generate_input, instantiate, quantize_graph
+from inferbench.zoo import GraphBuilder, WeightStream
 
 import oracles
 
@@ -138,8 +139,22 @@ def _spec_with(node):
                                         "padding": "full"}), "unknown padding"),
     (OperatorNode("p", "resize_bilinear", ["r1"], {"out_h": 0, "out_w": 4}),
      "resize output"),
+    (OperatorNode("p", "pool", ["r1"], {"kind": "max", "window": (2.0, 2.0)}),
+     "window"),
+    (OperatorNode("p", "pool", ["r1"], {"kind": "max", "window": (2, 2),
+                                        "pool_stride": 2.5}), "stride"),
+    (OperatorNode("p", "resize_bilinear", ["r1"], {"out_h": 2.5, "out_w": 3}),
+     "resize output"),
+    (OperatorNode("p", "resize_bilinear", ["r1"], {"out_h": None, "out_w": 3}),
+     "resize output"),
+    (OperatorNode("p", "resize_bilinear", ["r1"], {"out_h": "x", "out_w": 3}),
+     "resize output"),
+    (OperatorNode("p", "resize_bilinear", ["r1"], {"out_h": (), "out_w": 3}),
+     "resize output"),
 ], ids=["pool-stride-0", "pool-stride-empty", "pool-window-0", "pool-kind",
-        "pool-padding", "resize-extent-0"])
+        "pool-padding", "resize-extent-0", "pool-window-float",
+        "pool-stride-float", "resize-extent-float", "resize-extent-none",
+        "resize-extent-str", "resize-extent-empty"])
 def test_validate_rejects_bad_window_attributes(node, message):
     with pytest.raises(GraphValidationError, match=message) as err:
         validate(_spec_with(node))
@@ -166,6 +181,55 @@ def test_validate_rejects_a_conv_stride_below_one():
     with pytest.raises(GraphValidationError, match="stride") as err:
         validate(spec)
     assert err.value.node_id == "c2"
+
+
+@pytest.mark.parametrize("stride", [(2.0, 2.0), 2.5, None])
+def test_validate_rejects_a_conv_stride_that_is_not_integers(stride):
+    spec = _simple_spec()
+    spec.nodes[2].attributes["stride"] = stride
+    with pytest.raises(GraphValidationError, match="stride") as err:
+        validate(spec)
+    assert err.value.node_id == "c2"
+
+
+def test_validate_reads_a_numpy_integer_stride_as_an_int():
+    def conv_output_shape(stride):
+        weights = {"w": _w((3, 3, 3, 4)), "b": _w((1, 1, 1, 4))}
+        node = OperatorNode("c", "conv2d", [INPUT_ID], {"stride": stride}, ["w", "b"])
+        graph = validate(GraphSpec("s", (1, 6, 6, 3), [node], "c", weights))
+        return graph.output_shape
+
+    shape = conv_output_shape(np.int64(2))
+    assert shape == conv_output_shape(2) == (1, 3, 3, 4)
+    assert all(type(e) is int for e in shape)
+
+
+@pytest.mark.parametrize("op_kind, w_shape, b_shape, message", [
+    ("conv2d", (3, 3, 3, 4), (1, 1, 1, 5), "bias length 5 != channels 4"),
+    ("depthwise_conv2d", (3, 3, 3, 1), (1, 1, 1, 4), "bias length 4 != channels 3"),
+    ("fully_connected", (1, 1, 108, 4), (1, 1, 1, 7), "bias length 7 != channels 4"),
+], ids=["conv", "depthwise", "fc"])
+def test_validate_rejects_a_bias_of_the_wrong_length(op_kind, w_shape, b_shape,
+                                                      message):
+    weights = {"w": _w(w_shape), "b": _w(b_shape)}
+    node = OperatorNode("n", op_kind, [INPUT_ID], {}, ["w", "b"])
+    spec = GraphSpec("bias", (1, 6, 6, 3), [node], "n", weights)
+    with pytest.raises(GraphValidationError, match=message) as err:
+        validate(spec)
+    assert err.value.node_id == "n"
+    x = Tensor(np.zeros((1, 6, 6, 3), dtype=np.float32))
+    for backend in (reference, optimized):
+        with pytest.raises(ShapeError, match=message):
+            getattr(backend, op_kind)(x, weights["w"], weights["b"])
+
+
+def test_validate_rejects_int8_weights_in_a_float_graph():
+    spec = _simple_spec()
+    spec.weights["c1_w"] = quantize(spec.weights["c1_w"], QuantParams(0.01, 0))
+    with pytest.raises(GraphValidationError,
+                       match=r"float32 profile \(float32 weight and bias\)") as err:
+        validate(spec)
+    assert err.value.node_id == "c1"
 
 
 def test_kernels_called_directly_reject_a_stride_below_one():
@@ -455,3 +519,66 @@ def test_pool_geometry_agrees_between_analyzer_and_kernels(layer, seed):
                                           {**attrs, "out_qp": qp}),
     ]
     assert [o.shape for o in outs] == [want] * 3
+
+
+# Every attribute key the nine ops read, and values no kernel can take
+# (or, for np.int64(2), one every kernel takes as 2).
+_ATTR_KEYS = ["stride", "padding", "kind", "window", "pool_stride", "out_h",
+              "out_w", "out_qp"]
+_ODD_VALUES = [0, -1, 2.5, "x", None, (), (1, 2, 3), (2.0, 2.0), np.int64(2)]
+
+
+@st.composite
+def nine_op_graphs(draw):
+    """A small valid graph over all nine ops, float or quantized to int8."""
+    h, w = draw(st.integers(4, 8)), draw(st.integers(4, 8))
+    b = GraphBuilder("nine", (1, h, w, draw(st.integers(1, 3))),
+                     WeightStream(draw(st.integers(0, 99))))
+    c = b.conv("c", INPUT_ID, draw(st.integers(1, 4)), draw(st.sampled_from([1, 3])),
+               act=True)
+    d = b.dwconv("d", c, 3, stride=draw(st.integers(1, 2)),
+                 padding=draw(st.sampled_from([SAME, VALID])))
+    p = b.pool("p", d, draw(st.sampled_from(["max", "avg"])), (2, 2), (1, 1), SAME)
+    r = b.resize("r", b.add("a", d, p), h, w)
+    k = b.concat("k", [r, c])
+    f = b.fc("f", b.global_avgpool("g", k), draw(st.integers(1, 5)))
+    spec = b.finish(b.softmax("s", f))
+    if draw(st.booleans()):
+        spec = quantize_graph(spec, {n.id: (-1.0, 1.0) for n in spec.nodes})
+    return spec
+
+
+@settings(max_examples=400, deadline=None)
+@given(nine_op_graphs(), st.data())
+def test_validate_accepts_or_names_a_node_of_any_mutated_graph(spec, data):
+    """One mutation of a valid graph: an input id dropped or added, two
+    weight refs swapped, an attribute deleted or set to an odd value.
+    ``validate`` accepts the result or raises ``GraphValidationError``
+    naming one of its nodes; no other exception may escape."""
+    validate(spec)
+    nodes = [replace(n, input_ids=list(n.input_ids), attributes=dict(n.attributes),
+                     weight_refs=list(n.weight_refs)) for n in spec.nodes]
+    node = data.draw(st.sampled_from(nodes))
+    mutation = data.draw(st.sampled_from(
+        ["drop-input", "add-input", "swap-weights", "delete-attr", "set-attr"]))
+    if mutation == "drop-input":
+        node.input_ids.pop(data.draw(st.integers(0, len(node.input_ids) - 1)))
+    elif mutation == "add-input":
+        node.input_ids.append(data.draw(st.sampled_from(
+            [INPUT_ID, "nowhere", *(n.id for n in nodes)])))
+    elif mutation == "swap-weights":
+        slots = [(i, j) for i, n in enumerate(nodes)
+                 for j in range(len(n.weight_refs))]
+        (i1, j1), (i2, j2) = data.draw(st.lists(st.sampled_from(slots), min_size=2,
+                                                max_size=2, unique=True))
+        a, b = nodes[i1].weight_refs, nodes[i2].weight_refs
+        a[j1], b[j2] = b[j2], a[j1]
+    elif mutation == "delete-attr" and node.attributes:
+        del node.attributes[data.draw(st.sampled_from(sorted(node.attributes)))]
+    elif mutation == "set-attr":  # mostly a key the node reads
+        key = data.draw(st.sampled_from(sorted(node.attributes) or _ATTR_KEYS))
+        node.attributes[key] = data.draw(st.sampled_from(_ODD_VALUES))
+    try:
+        validate(replace(spec, nodes=nodes))
+    except GraphValidationError as e:
+        assert e.node_id in {n.id for n in nodes}

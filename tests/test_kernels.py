@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from inferbench.errors import ShapeError
-from inferbench.kernels import OP_KINDS, KernelSet, optimized, reference
+from inferbench.kernels import OPS, KernelSet, optimized, reference
 from inferbench.kernels.shapes import SAME, VALID, conv_out_hw, out_extent
 from inferbench.tensor import FLOAT32, Tensor
 
@@ -165,7 +165,7 @@ def test_conv_rejects_channel_mismatch():
 def test_backend_coverage():
     ref = reference.make_kernel_set()
     opt = optimized.make_kernel_set()
-    for op in OP_KINDS:
+    for op in OPS:
         assert ref.supports(op, FLOAT32)
         assert ref.supports(op, "int8q")
         assert opt.supports(op, FLOAT32)
