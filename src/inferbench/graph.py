@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import ExecutionError, GraphValidationError, ShapeError
 from .kernels import OPS
-from .tensor import DTYPE_WIDTH, FLOAT32, INT8Q, Tensor
+from .tensor import DTYPE_WIDTH, FLOAT32, INT8Q, QuantParams, Tensor
 
 INPUT_ID = "input"
 
@@ -134,9 +134,10 @@ def validate(spec: GraphSpec) -> Graph:
                     f"node {node.id!r} references missing weight {ref!r}",
                     node_id=node.id,
                 )
-        if spec.dtype_profile == INT8Q and node.attributes.get("out_qp") is None:
+        if (spec.dtype_profile == INT8Q
+                and not isinstance(node.attributes.get("out_qp"), QuantParams)):
             raise GraphValidationError(
-                f"node {node.id!r}: int8 profile needs attribute 'out_qp'",
+                f"node {node.id!r}: int8 profile needs a QuantParams 'out_qp'",
                 node_id=node.id,
             )
         if (op.weights

@@ -1,9 +1,10 @@
 """Optimized float kernels: tiled im2col + GEMM on one Python thread.
 
-conv2d and depthwise_conv2d walk a fixed tile grid, ``_TILE_ELEMS // ow``
-output rows of one image per tile, so each tile's GEMM has the same operand
-shapes, and hence the same bits, on every run.  Covers every op in float32
-only; the int8 path belongs to the quantized backend.
+conv2d walks a fixed tile grid, ``_TILE_ELEMS // ow`` output rows of one
+image per tile, so each tile's GEMM has the same operand shapes, and hence
+the same bits, on every run.  depthwise_conv2d runs ``shifted_taps``, as
+the int8 one does.  Covers every op in float32 only; the int8 path belongs
+to the quantized backend.
 """
 
 from __future__ import annotations
@@ -13,21 +14,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..tensor import Tensor
 from . import KernelSet
-from .im2col import im2col
+from .im2col import im2col, shifted_taps
 from .shapes import SAME, VALID, conv_shape, fc_shape, pool_geometry, resize_shape
 from . import reference
 from .reference import _as_vec, _zero_pad
 
 # Output positions (patch rows) per GEMM tile.
 _TILE_ELEMS = 8192
-
-
-def _tiles(n_images, oh, ow):
-    """(image, output-row slice) of each tile, in row-major order."""
-    rows = max(1, _TILE_ELEMS // max(1, ow))
-    for n in range(n_images):
-        for r0 in range(0, oh, rows):
-            yield n, slice(r0, min(r0 + rows, oh))
 
 
 def conv2d(x, w, bias, stride=(1, 1), padding=SAME):
@@ -37,23 +30,23 @@ def conv2d(x, w, bias, stride=(1, 1), padding=SAME):
     xp = _zero_pad(x.data, kh, kw, stride, padding)
     wm = w.data.reshape(kh * kw * cin, cout)
     out = np.empty((x.shape[0], oh, ow, cout), dtype=np.float32)
-    for n, rows in _tiles(x.shape[0], oh, ow):
-        # unnamed, so each patch tile is freed before the next is built
-        out[n, rows] = (im2col(xp, kh, kw, stride, n, rows) @ wm + b).reshape(
-            -1, ow, cout)
+    step = max(1, _TILE_ELEMS // max(1, ow))
+    for n in range(x.shape[0]):
+        for r0 in range(0, oh, step):
+            rows = slice(r0, min(r0 + step, oh))
+            # unnamed, so each patch tile is freed before the next is built
+            out[n, rows] = (im2col(xp, kh, kw, stride, n, rows) @ wm + b).reshape(
+                -1, ow, cout)
     return Tensor(out)
 
 
 def depthwise_conv2d(x, w, bias, stride=(1, 1), padding=SAME):
-    _, oh, ow, c = conv_shape(x.shape, w.shape, None, stride, padding, depthwise=True)
+    shape = conv_shape(x.shape, w.shape, None, stride, padding, depthwise=True)
     kh, kw = w.shape[:2]
-    b = _as_vec(bias, c).astype(np.float32)
+    b = _as_vec(bias, shape[3]).astype(np.float32)
     xp = _zero_pad(x.data, kh, kw, stride, padding)
-    v = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :: stride[0], :: stride[1]]
-    wk = w.data[:, :, :, 0]
-    out = np.empty((x.shape[0], oh, ow, c), dtype=np.float32)
-    for n, rows in _tiles(x.shape[0], oh, ow):
-        out[n, rows] = np.einsum("rwckl,klc->rwc", v[n, rows], wk, optimize=True) + b
+    out = shifted_taps(xp, w.data[:, :, :, 0], stride, np.zeros(shape, np.float32))
+    out += b
     return Tensor(out)
 
 

@@ -316,6 +316,7 @@ def _int8_entry(fn, args):
 
 
 _SHARED_INT8 = {
+    "relu": qrelu,
     "pool": qpool,
     "resize_bilinear": qresize_bilinear,
     "add": qadd,
@@ -325,8 +326,8 @@ _SHARED_INT8 = {
 
 
 def int8_adapters(funcs):
-    """int8 table; ``funcs`` holds the backend's conv2d, depthwise_conv2d,
-    fully_connected and relu, the other ops are shared."""
+    """int8 table; ``funcs`` holds the backend's conv2d, depthwise_conv2d
+    and fully_connected, the other ops are shared."""
     funcs = {**_SHARED_INT8, **funcs}
     return {(kind, INT8Q): _int8_entry(funcs[kind], op.args)
             for kind, op in OPS.items()}
@@ -352,6 +353,5 @@ def make_kernel_set() -> KernelSet:
         "conv2d": qconv2d,
         "depthwise_conv2d": qdepthwise_conv2d,
         "fully_connected": qfully_connected,
-        "relu": qrelu,
     }))
     return KernelSet("reference", ops)

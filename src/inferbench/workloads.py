@@ -10,6 +10,7 @@ converted to int8.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,25 +111,41 @@ def _quantize_weights(spec):
     }
 
 
+# The ops whose requantize clip at code -128 can be the ReLU after them.
+_FOLDS_RELU = ("conv2d", "depthwise_conv2d", "fully_connected")
+
+
 def quantize_graph(spec: GraphSpec, ranges) -> GraphSpec:
     """Float graph -> per-tensor asymmetric int8 graph.
 
-    Activations use the calibrated per-node ranges.
+    Activations use the calibrated per-node ranges.  A ReLU with zero point
+    -128 is folded into the conv, depthwise or FC node before it when it is
+    that node's only reader, the fused activation of Jacob et al. (arXiv
+    1712.05877, section 2.4): the node takes the ReLU's qparams, so
+    ``requantize``'s clip at -128 is the ReLU, and the ReLU's readers read
+    the node.  An all-zero range gives zero point 0, and its ReLU stays.
     """
-    nodes = []
+    qparams = {node.id: qparams_from_range(*ranges[node.id]) for node in spec.nodes}
+    kinds = {node.id: node.op_kind for node in spec.nodes}
+    readers = Counter([spec.output_id, *(i for n in spec.nodes for i in n.input_ids)])
+    folded = {}  # ReLU id -> the id of the node it is folded into
     for node in spec.nodes:
-        lo, hi = ranges[node.id]
-        attrs = dict(node.attributes)
-        attrs["out_qp"] = qparams_from_range(lo, hi)
-        nodes.append(
-            OperatorNode(node.id, node.op_kind, list(node.input_ids), attrs,
-                         list(node.weight_refs))
-        )
+        if (node.op_kind == "relu" and qparams[node.id].zero_point == -128
+                and kinds.get(src := node.input_ids[0]) in _FOLDS_RELU
+                and readers[src] == 1):
+            folded[node.id] = src
+            qparams[src] = qparams[node.id]
+    nodes = [
+        OperatorNode(node.id, node.op_kind, [folded.get(i, i) for i in node.input_ids],
+                     {**node.attributes, "out_qp": qparams[node.id]},
+                     list(node.weight_refs))
+        for node in spec.nodes if node.id not in folded
+    ]
     return GraphSpec(
         name=spec.name + "_int8",
         input_shape=spec.input_shape,
         nodes=nodes,
-        output_id=spec.output_id,
+        output_id=folded.get(spec.output_id, spec.output_id),
         weights=_quantize_weights(spec),
         dtype_profile=INT8Q,
     )

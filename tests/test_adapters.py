@@ -71,7 +71,7 @@ MATH = {
         INT8Q: {"conv2d": quantized.qconv2d,
                 "depthwise_conv2d": quantized.qdepthwise_conv2d,
                 "fully_connected": quantized.qfully_connected,
-                "relu": quantized.qrelu, **_SHARED_INT8},
+                "relu": reference.qrelu, **_SHARED_INT8},
     },
 }
 

@@ -403,8 +403,10 @@ def test_validate_rejects_int8_node_without_out_qp(node_id):
     with pytest.raises(GraphValidationError, match=node_id) as info:
         validate(_int8_spec_without_out_qp(node_id))
     assert info.value.node_id == node_id
-    with pytest.raises(GraphValidationError, match="out_qp"):
-        validate(_int8_spec_without_out_qp(node_id, None))
+    for value in (None, "x", 1.0):
+        with pytest.raises(GraphValidationError, match="out_qp") as info:
+            validate(_int8_spec_without_out_qp(node_id, value))
+        assert info.value.node_id == node_id
 
 
 def test_execute_observer_sees_every_node():
@@ -529,8 +531,12 @@ _ODD_VALUES = [0, -1, 2.5, "x", None, (), (1, 2, 3), (2.0, 2.0), np.int64(2)]
 
 
 @st.composite
-def nine_op_graphs(draw):
-    """A small valid graph over all nine ops, float or quantized to int8."""
+def nine_op_graphs(draw, int8=None):
+    """A small valid graph over all nine ops, float or quantized to int8.
+
+    Every int8 range is (-1, 1) but the ReLU's, which is (0, 1), giving zero
+    point -128 and a ReLU that ``quantize_graph`` folds into its conv, or
+    (-1, 1), giving a ReLU that stays."""
     h, w = draw(st.integers(4, 8)), draw(st.integers(4, 8))
     b = GraphBuilder("nine", (1, h, w, draw(st.integers(1, 3))),
                      WeightStream(draw(st.integers(0, 99))))
@@ -543,8 +549,10 @@ def nine_op_graphs(draw):
     k = b.concat("k", [r, c])
     f = b.fc("f", b.global_avgpool("g", k), draw(st.integers(1, 5)))
     spec = b.finish(b.softmax("s", f))
-    if draw(st.booleans()):
-        spec = quantize_graph(spec, {n.id: (-1.0, 1.0) for n in spec.nodes})
+    if draw(st.booleans()) if int8 is None else int8:
+        relu = draw(st.sampled_from([(-1.0, 1.0), (0.0, 1.0)]))
+        spec = quantize_graph(spec, {n.id: relu if n.op_kind == "relu" else (-1.0, 1.0)
+                                     for n in spec.nodes})
     return spec
 
 
@@ -582,3 +590,16 @@ def test_validate_accepts_or_names_a_node_of_any_mutated_graph(spec, data):
         validate(replace(spec, nodes=nodes))
     except GraphValidationError as e:
         assert e.node_id in {n.id for n in nodes}
+
+
+@settings(max_examples=40, deadline=None)
+@given(nine_op_graphs(int8=True), st.integers(0, 2**32 - 1))
+def test_quantized_backend_equals_reference_on_nine_op_graphs(spec, seed):
+    """Bit for bit, with the conv's ReLU folded or kept."""
+    graph = validate(spec)
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.integers(-128, 128, size=spec.input_shape).astype(np.int8), INT8Q,
+               QuantParams(1.0 / 255.0, -128))
+    want = execute(graph, x, reference.make_kernel_set())
+    got = execute(graph, x, quantized.make_kernel_set())
+    assert np.array_equal(got.data, want.data)

@@ -3,7 +3,8 @@
 Hypothesis draws small random layers (batch, extents, channels, kernel,
 per-axis strides, padding, zero points over the whole int8 range).  The
 quantized backend must give the reference's int8 codes bit for bit; the
-optimized float conv must stay within 1e-4 relative of the reference.
+optimized float conv and depthwise conv must stay within 1e-4 relative of
+the reference.
 """
 
 import numpy as np
@@ -102,21 +103,6 @@ def test_qfully_connected_matches_reference_bit_for_bit(
     assert np.array_equal(got.data, want.data)
 
 
-@given(st.integers(1, 2), st.integers(1, 12), st.integers(1, 12), st.integers(1, 8),
-       scales, zero_points, scales, zero_points, st.booleans(), seeds)
-@SETTINGS
-def test_qrelu_matches_reference_bit_for_bit(
-        n, h, w, c, in_s, in_zp, out_s, out_zp, same_qp, seed):
-    in_qp = QuantParams(in_s, in_zp)
-    out_qp = in_qp if same_qp else QuantParams(out_s, out_zp)
-    rng = np.random.default_rng(seed)
-    x = Tensor(_codes(rng, (n, h, w, c), False), INT8Q, in_qp)
-    want = reference.qrelu(x, out_qp)
-    got = quantized.qrelu(x, out_qp)
-    assert got.qparams == want.qparams
-    assert np.array_equal(got.data, want.data)
-
-
 @given(conv_shapes(), seeds)
 @SETTINGS
 def test_optimized_conv2d_matches_reference(shapes, seed):
@@ -127,5 +113,19 @@ def test_optimized_conv2d_matches_reference(shapes, seed):
     b = Tensor(rng.uniform(-1, 1, (1, 1, 1, w_shape[3])).astype(np.float32))
     want = reference.conv2d(x, wt, b, stride, padding)
     got = optimized.conv2d(x, wt, b, stride, padding)
+    scale = max(1.0, float(np.abs(want.data).max()))
+    assert float(np.abs(got.data - want.data).max()) / scale <= 1e-4
+
+
+@given(conv_shapes(depthwise=True), seeds)
+@SETTINGS
+def test_optimized_depthwise_matches_reference(shapes, seed):
+    x_shape, w_shape, stride, padding = shapes
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.uniform(-1, 1, x_shape).astype(np.float32))
+    wt = Tensor(rng.uniform(-1, 1, w_shape).astype(np.float32))
+    b = Tensor(rng.uniform(-1, 1, (1, 1, 1, w_shape[2])).astype(np.float32))
+    want = reference.depthwise_conv2d(x, wt, b, stride, padding)
+    got = optimized.depthwise_conv2d(x, wt, b, stride, padding)
     scale = max(1.0, float(np.abs(want.data).max()))
     assert float(np.abs(got.data - want.data).max()) / scale <= 1e-4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from inferbench.errors import QuantizationError
+from inferbench.errors import QuantizationError, ShapeError
 from inferbench.kernels import quantized, reference
 from inferbench.kernels.shapes import SAME, VALID
 from inferbench.tensor import (
@@ -156,6 +156,22 @@ def test_int8_accumulators_exact_at_config_cap():
         for fc in (reference.qfully_connected, quantized.qfully_connected):
             got = fc(x, w, bias, CAP_OUT_QP)
             assert got.data.reshape(-1).tolist() == [5, -7]
+
+
+@pytest.mark.parametrize("kernel, x_shape, w_shape", [
+    ("qconv2d", (1, 4, 4, 3), (3, 3, 3, 4)),
+    ("qdepthwise_conv2d", (1, 4, 4, 4), (3, 3, 4, 1)),
+    ("qfully_connected", (1, 1, 1, 4), (1, 1, 4, 4)),
+], ids=["conv", "depthwise", "fc"])
+def test_quantized_kernels_reject_a_bias_of_the_wrong_length(kernel, x_shape, w_shape):
+    """A 1-element bias on 4 output channels is refused, as the reference does."""
+    qp = QuantParams(0.1, 0)
+    x = Tensor(np.zeros(x_shape, dtype=np.int8), INT8Q, qp)
+    w = Tensor(np.ones(w_shape, dtype=np.int8), INT8Q, qp)
+    geometry = () if kernel == "qfully_connected" else ((1, 1), SAME)
+    for module in (reference, quantized):
+        with pytest.raises(ShapeError, match="bias length 1 != channels 4"):
+            getattr(module, kernel)(x, w, np.array([3]), *geometry, qp)
 
 
 def test_qrelu_clamps_at_zero_point():

@@ -9,8 +9,8 @@ from inferbench.errors import GraphValidationError, WorkloadError
 from inferbench.graph import (
     INPUT_ID, GraphSpec, OperatorNode, count_macs, count_params, execute, validate,
 )
-from inferbench.kernels import OPS, KernelSet, optimized
-from inferbench.tensor import FLOAT32, INT8Q, Tensor, qparams_from_range, quantize
+from inferbench.kernels import OPS, KernelSet, optimized, quantized, reference
+from inferbench.tensor import FLOAT32, INT8Q, QuantParams, Tensor, qparams_from_range, quantize
 from inferbench.workloads import (
     DEFAULT_BUDGETS_S,
     DEFAULT_SEED,
@@ -23,6 +23,7 @@ from inferbench.workloads import (
 )
 from inferbench.zoo import (
     BUILDERS,
+    GraphBuilder,
     WeightStream,
     build_srcnn,
     build_vdsr,
@@ -178,6 +179,51 @@ def test_quantize_graph_picks_the_weight_by_role_not_by_name():
     with pytest.raises(GraphValidationError, match="float32 bias") as err:
         validate(dataclasses.replace(q, weights={**q.weights, "c": int8_bias}))
     assert err.value.node_id == "conv"
+
+
+def _int8_outputs_agree(graph, seed):
+    """The quantized backend gives the reference's codes on one random image."""
+    qp = QuantParams(1.0 / 255.0, -128)
+    codes = np.random.default_rng(seed).integers(-128, 128, size=graph.spec.input_shape)
+    x = Tensor(codes.astype(np.int8), INT8Q, qp)
+    want = execute(graph, x, reference.make_kernel_set())
+    return np.array_equal(execute(graph, x, quantized.make_kernel_set()).data, want.data)
+
+
+def test_t1_int8_graph_folds_every_relu():
+    graph, _ = instantiate(1, scale=0.25)
+    assert len(graph.spec.nodes) == 30
+    assert not [n.id for n in graph.spec.nodes if n.op_kind == "relu"]
+    assert _int8_outputs_agree(graph, 0)
+
+
+# output of the conv "c" -> relu "c_relu" graph, the ReLU's range, and the
+# nodes of the int8 graph
+FOLD_CASES = {
+    "relu-is-output": (lambda b, r: r, (0.0, 2.0), ["c"]),
+    "all-zero-range": (lambda b, r: r, (0.0, 0.0), ["c", "c_relu"]),
+    "conv-read-twice": (lambda b, r: b.add("a", r, "c"), (0.0, 2.0),
+                        ["c", "c_relu", "a"]),
+}
+
+
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_quantize_graph_folds_a_relu_at_zero_point_minus_128_into_its_sole_reader(case):
+    tail, relu_range, want_ids = FOLD_CASES[case]
+    b = GraphBuilder("fold", (1, 6, 6, 3), WeightStream(5))
+    spec = b.finish(tail(b, b.conv("c", INPUT_ID, 4, 3, act=True)))
+    ranges = {n.id: relu_range if n.op_kind == "relu" else (-2.0, 2.0)
+              for n in spec.nodes}
+    q = quantize_graph(spec, ranges)
+    assert [n.id for n in q.nodes] == want_ids
+    out_qp = {n.id: n.attributes["out_qp"] for n in q.nodes}
+    if "c_relu" in want_ids:
+        assert out_qp["c"] == qparams_from_range(-2.0, 2.0)
+    else:  # the conv takes the ReLU's qparams, and the output is the conv
+        assert out_qp["c"] == qparams_from_range(*relu_range)
+        assert out_qp["c"].zero_point == -128
+        assert q.output_id == "c"
+    assert _int8_outputs_agree(validate(q), 1)
 
 
 def test_t1_quantized_output_tracks_float_twin():
