@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ExecutionError, GraphValidationError, ShapeError
+from .errors import ExecutionError, GraphValidationError, QuantizationError, ShapeError
 from .kernels import OPS
+from .kernels.reference import check_q_config
 from .tensor import DTYPE_WIDTH, FLOAT32, INT8Q, QuantParams, Tensor
 
 INPUT_ID = "input"
@@ -84,7 +85,7 @@ class Graph:
 
 
 def validate(spec: GraphSpec) -> Graph:
-    """Check structural invariants and shape-propagate every node."""
+    """Check structural invariants and the int8 caps; shape-propagate every node."""
     if len(spec.input_shape) != 4:
         raise GraphValidationError("input_shape must have 4 extents")
     if spec.dtype_profile not in DTYPE_WIDTH:
@@ -169,7 +170,9 @@ def validate(spec: GraphSpec) -> Graph:
         weights = [spec.weights[r] for r in node.weight_refs]
         try:
             shapes[node.id] = _infer_shape(node, in_shapes, weights)
-        except ShapeError as e:
+            if spec.dtype_profile == INT8Q and weights:
+                check_q_config(node.op_kind, weights[0].shape)
+        except (ShapeError, QuantizationError) as e:
             raise GraphValidationError(
                 f"node {node.id!r}: {e}", node_id=node.id
             ) from e

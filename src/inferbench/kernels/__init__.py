@@ -30,10 +30,10 @@ class Op:
     """What a node of one kind holds, and how every layer reads it.
 
     ``args(inputs, weights, attrs)`` gives the math function's leading
-    arguments, every default filled in; an int8 kernel also takes the
-    node's ``out_qp`` last.  ``shape`` takes the same arguments with shapes
-    in place of tensors.  ``macs(out_shape, weight_shape)`` is set for the
-    ops with weights, which hold their weight and then their bias.
+    arguments, every default filled in; an int8 op without weights also
+    takes the node's ``out_qp`` last.  ``shape`` takes the same arguments
+    with shapes in place of tensors.  ``macs(out_shape, weight_shape)`` is
+    set for the ops with weights, which hold their weight and then their bias.
     """
 
     args: Callable

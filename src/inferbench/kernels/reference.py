@@ -4,11 +4,13 @@ These are the correctness oracle for every other backend, and each op's
 maths is written once for both dtypes.  Conv, depthwise conv and fully
 connected share one direct loop each (``_direct_conv``, ``_direct_fc``):
 on float32 values for the float path, on int64 centered codes for the int8
-path, which accumulates exactly and then requantizes with
-round-half-away-from-zero.  Add, softmax, concat and resize in int8 are
-the float op between dequantize and quantize (``_on_real_values``); pool
-and relu work on the codes.  Operand shapes are checked by the rules in
-``shapes``.  The reference set covers every (op, dtype) pair by contract.
+path's exact accumulators (``ACCUMULATORS``).  Each int8 backend supplies
+only such accumulators, and ``int8_adapters`` wraps them all in one output
+stage that requantizes with round-half-away-from-zero.  Add, softmax,
+concat and resize in int8 are the float op between dequantize and quantize
+(``_on_real_values``); pool and relu work on the codes.  Operand shapes
+are checked by the rules in ``shapes``.  The reference set covers every
+(op, dtype) pair by contract.
 """
 
 from __future__ import annotations
@@ -193,7 +195,13 @@ MAX_Q_KERNEL = 9
 MAX_Q_CHANNELS = 1024
 
 
-def _check_q_config(kh, kw, cin):
+def check_q_config(kind, w_shape):
+    """Refuse an int8 conv or depthwise weight past the caps; FC has none."""
+    if kind == "fully_connected":
+        return
+    kh, kw, cin = w_shape[:3]
+    if kind == "depthwise_conv2d":
+        cin = 1  # each output sums one input channel
     if kh > MAX_Q_KERNEL or kw > MAX_Q_KERNEL or cin > MAX_Q_CHANNELS:
         raise QuantizationError(
             f"quantized conv limited to {MAX_Q_KERNEL}x{MAX_Q_KERNEL} kernels "
@@ -202,7 +210,10 @@ def _check_q_config(kh, kw, cin):
 
 
 def quantize_bias(bias, in_qp: QuantParams, w_qp: QuantParams):
-    """Real-valued bias -> int32 at the accumulator scale in_s * w_s."""
+    """Real-valued bias, or None -> flat int64 at the accumulator scale
+    in_s * w_s.  Not bounded to int32: the accumulators add it exactly."""
+    if bias is None:
+        return None
     b = bias.data if isinstance(bias, Tensor) else np.asarray(bias)
     s = in_qp.scale * w_qp.scale
     return round_half_away(b.reshape(-1).astype(np.float64) / s).astype(np.int64)
@@ -218,31 +229,22 @@ def requantize(acc, in_qp, w_qp, out_qp):
     return np.clip(q, -128, 127, out=q).astype(np.int8)
 
 
-def _centered(t):
-    """A tensor's int8 codes minus its zero point, as int64."""
-    return t.data.astype(np.int64) - t.qparams.zero_point
+def _centered(t, dtype=np.int64):
+    """A tensor's int8 codes minus its zero point: exact integers in ``dtype``."""
+    return np.subtract(t.data, t.qparams.zero_point, dtype=dtype)
 
 
-def _requantized(acc, x, w, out_qp):
-    return Tensor(requantize(acc, x.qparams, w.qparams, out_qp), INT8Q, out_qp)
+def _on_centered(direct, **kw):
+    return lambda x, w, bias_i32, *geometry: direct(
+        _centered(x), _centered(w), bias_i32, *geometry, **kw)
 
 
-def qconv2d(x: Tensor, w: Tensor, bias_i32, stride, padding, out_qp) -> Tensor:
-    """Integer convolution: exact MAC accumulation then requantization."""
-    _check_q_config(*w.shape[:3])
-    acc = _direct_conv(_centered(x), _centered(w), bias_i32, stride, padding)
-    return _requantized(acc, x, w, out_qp)
-
-
-def qdepthwise_conv2d(x: Tensor, w: Tensor, bias_i32, stride, padding, out_qp) -> Tensor:
-    _check_q_config(*w.shape[:2], 1)
-    acc = _direct_conv(_centered(x), _centered(w), bias_i32, stride, padding,
-                       depthwise=True)
-    return _requantized(acc, x, w, out_qp)
-
-
-def qfully_connected(x: Tensor, w: Tensor, bias_i32, out_qp) -> Tensor:
-    return _requantized(_direct_fc(_centered(x), _centered(w), bias_i32), x, w, out_qp)
+# The exact int8 accumulators, bias included: the direct loops above.
+ACCUMULATORS = {
+    "conv2d": _on_centered(_direct_conv),
+    "depthwise_conv2d": _on_centered(_direct_conv, depthwise=True),
+    "fully_connected": _on_centered(_direct_fc),
+}
 
 
 def qrelu(x: Tensor, out_qp) -> Tensor:
@@ -300,17 +302,20 @@ def float_adapters(funcs):
             for kind, op in OPS.items()}
 
 
-def _qbias(w, bias, x):
-    if bias is None:
-        return None
-    return quantize_bias(bias, x.qparams, w.qparams)
-
-
 def _int8_entry(fn, args):
+    return lambda i, w, a: fn(*args(i, w, a), a["out_qp"])
+
+
+def _int8_mac_entry(kind, accumulate, args):
+    """The one int8 output stage (Jacob et al., arXiv 1712.05877, 2.2-2.4):
+    bias to the accumulator scale, the caps, the accumulator, requantize."""
     def run(i, w, a):
-        if w:  # the real-valued bias goes int32, at the accumulator scale
-            w = (w[0], _qbias(w[0], w[1], i[0]))
-        return fn(*args(i, w, a), a["out_qp"])
+        x, wt, bias, *geometry = args(i, w, a)
+        bias_i32 = quantize_bias(bias, x.qparams, wt.qparams)
+        check_q_config(kind, wt.shape)
+        acc = accumulate(x, wt, bias_i32, *geometry)
+        out_qp = a["out_qp"]
+        return Tensor(requantize(acc, x.qparams, wt.qparams, out_qp), INT8Q, out_qp)
 
     return run
 
@@ -325,11 +330,11 @@ _SHARED_INT8 = {
 }
 
 
-def int8_adapters(funcs):
-    """int8 table; ``funcs`` holds the backend's conv2d, depthwise_conv2d
-    and fully_connected, the other ops are shared."""
-    funcs = {**_SHARED_INT8, **funcs}
-    return {(kind, INT8Q): _int8_entry(funcs[kind], op.args)
+def int8_adapters(accumulators):
+    """int8 table: each op with weights wraps its entry of ``accumulators``
+    (a missing one is a ``KeyError`` here), the others are shared."""
+    return {(kind, INT8Q): _int8_mac_entry(kind, accumulators[kind], op.args)
+            if op.weights else _int8_entry(_SHARED_INT8[kind], op.args)
             for kind, op in OPS.items()}
 
 
@@ -349,9 +354,5 @@ _FLOAT_FUNCS = {
 def make_kernel_set() -> KernelSet:
     """Total-coverage reference kernel set (every op, both dtypes)."""
     ops = float_adapters(_FLOAT_FUNCS)
-    ops.update(int8_adapters({
-        "conv2d": qconv2d,
-        "depthwise_conv2d": qdepthwise_conv2d,
-        "fully_connected": qfully_connected,
-    }))
+    ops.update(int8_adapters(ACCUMULATORS))
     return KernelSet("reference", ops)

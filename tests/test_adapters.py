@@ -3,7 +3,9 @@
 Each (op, dtype) entry of the reference, optimized and quantized tables is
 called through ``KernelSet.apply`` on one tiny node and compared bit for bit
 with a direct call of the math function, its arguments written out here by
-hand rather than decoded from the node's attributes.
+hand rather than decoded from the node's attributes.  For an int8 op with
+weights the math function is the backend's accumulator, and the output
+stage around it is written out here too.
 """
 
 import numpy as np
@@ -55,10 +57,7 @@ MATH = {
         FLOAT32: {op: getattr(reference, op) for op in
                   ("conv2d", "depthwise_conv2d", "fully_connected", "pool",
                    "resize_bilinear", *_SHARED_FLOAT)},
-        INT8Q: {"conv2d": reference.qconv2d,
-                "depthwise_conv2d": reference.qdepthwise_conv2d,
-                "fully_connected": reference.qfully_connected,
-                "relu": reference.qrelu, **_SHARED_INT8},
+        INT8Q: {**reference.ACCUMULATORS, "relu": reference.qrelu, **_SHARED_INT8},
     },
     "optimized": {
         FLOAT32: {"conv2d": optimized.conv2d,
@@ -68,10 +67,7 @@ MATH = {
                   "resize_bilinear": optimized.resize_bilinear, **_SHARED_FLOAT},
     },
     "quantized": {
-        INT8Q: {"conv2d": quantized.qconv2d,
-                "depthwise_conv2d": quantized.qdepthwise_conv2d,
-                "fully_connected": quantized.qfully_connected,
-                "relu": reference.qrelu, **_SHARED_INT8},
+        INT8Q: {**quantized.ACCUMULATORS, "relu": reference.qrelu, **_SHARED_INT8},
     },
 }
 
@@ -107,10 +103,13 @@ def _direct(fn, op, ins, weights, attrs, decoded, dtype):
     head = [ins] if op == "concat_channels" else list(ins)
     if dtype == FLOAT32:
         return fn(*head, *weights, *decoded)
-    if weights:
-        w, b = weights
-        weights = [w, reference.quantize_bias(b, ins[0].qparams, w.qparams)]
-    return fn(*head, *weights, *decoded, attrs["out_qp"])
+    out_qp = attrs["out_qp"]
+    if not weights:
+        return fn(*head, *decoded, out_qp)
+    (x,), (w, b) = ins, weights
+    acc = fn(x, w, reference.quantize_bias(b, x.qparams, w.qparams), *decoded)
+    codes = reference.requantize(acc, x.qparams, w.qparams, out_qp)
+    return Tensor(codes, INT8Q, out_qp)
 
 
 ENTRIES = [
@@ -145,3 +144,9 @@ def test_apply_equals_direct_call(entry):
     assert np.array_equal(got.data, want.data)
     node = OperatorNode("n", op, [INPUT_ID] * len(ins), attrs, [])
     assert got.shape == _infer_shape(node, [t.shape for t in ins], weights)
+
+
+def test_a_missing_accumulator_fails_when_the_table_is_built():
+    """Not later, at dispatch, by a table that lacks fully connected."""
+    with pytest.raises(KeyError, match="depthwise_conv2d"):
+        reference.int8_adapters({"conv2d": quantized.ACCUMULATORS["conv2d"]})

@@ -260,19 +260,13 @@ _SHAPE_RULE_CASES = [
      "concat spatial extents differ"),
 ]
 
-# op -> every backend's math function for it, with its dtype
+# op -> every backend's math function for it, with its dtype; an int8 op
+# with weights has each backend's accumulator
 _SHAPE_RULE_KERNELS = {
-    "conv2d": [(reference.conv2d, FLOAT32), (optimized.conv2d, FLOAT32),
-               (reference.qconv2d, INT8Q), (quantized.qconv2d, INT8Q)],
-    "depthwise_conv2d": [
-        (reference.depthwise_conv2d, FLOAT32),
-        (optimized.depthwise_conv2d, FLOAT32),
-        (reference.qdepthwise_conv2d, INT8Q),
-        (quantized.qdepthwise_conv2d, INT8Q)],
-    "fully_connected": [
-        (reference.fully_connected, FLOAT32),
-        (optimized.fully_connected, FLOAT32),
-        (reference.qfully_connected, INT8Q), (quantized.qfully_connected, INT8Q)],
+    kind: [(getattr(reference, kind), FLOAT32), (getattr(optimized, kind), FLOAT32),
+           (reference.ACCUMULATORS[kind], INT8Q), (quantized.ACCUMULATORS[kind], INT8Q)]
+    for kind in ("conv2d", "depthwise_conv2d", "fully_connected")
+} | {
     "add": [(reference.add, FLOAT32), (reference.qadd, INT8Q)],
     "concat_channels": [(reference.concat_channels, FLOAT32),
                         (reference.qconcat_channels, INT8Q)],
@@ -313,7 +307,7 @@ def _direct_args(op, in_shapes, w_shape, dtype):
         args = [ins[0], operand(w_shape), None]
     else:
         args = [ins[0], operand(w_shape), None, (1, 1), SAME]
-    return args + [qp] if dtype == INT8Q else args
+    return args + [qp] if dtype == INT8Q and w_shape is None else args
 
 
 @pytest.mark.parametrize("case", _SHAPE_RULE_CASES, ids=[c[0] for c in _SHAPE_RULE_CASES])
@@ -407,6 +401,29 @@ def test_validate_rejects_int8_node_without_out_qp(node_id):
         with pytest.raises(GraphValidationError, match="out_qp") as info:
             validate(_int8_spec_without_out_qp(node_id, value))
         assert info.value.node_id == node_id
+
+
+def _one_int8_conv(op_kind, x_shape, w_shape):
+    qp = QuantParams(0.01, 0)
+    cout = w_shape[2] if op_kind == "depthwise_conv2d" else w_shape[3]
+    weights = {"w": quantize(_w(w_shape), qp), "b": _w((1, 1, 1, cout))}
+    node = OperatorNode("big", op_kind, [INPUT_ID], {"out_qp": qp}, ["w", "b"])
+    return GraphSpec("one-conv", x_shape, [node], "big", weights, INT8Q)
+
+
+@pytest.mark.parametrize("op_kind, x_shape, w_shape, got", [
+    ("conv2d", (1, 12, 12, 1), (11, 11, 1, 1), "11x11x1"),
+    ("conv2d", (1, 2, 2, 1025), (1, 1, 1025, 1), "1x1x1025"),
+    ("depthwise_conv2d", (1, 12, 12, 1), (11, 11, 1, 1), "11x11x1"),
+], ids=["conv-kernel", "conv-channels", "depthwise-kernel"])
+def test_validate_rejects_an_int8_conv_past_the_caps(op_kind, x_shape, w_shape, got):
+    """``validate`` refuses what every int8 backend refuses; a depthwise conv
+    sums one channel per output, so 1025 channels of it pass."""
+    with pytest.raises(GraphValidationError,
+                       match=f"'big': quantized conv limited .* got {got}") as err:
+        validate(_one_int8_conv(op_kind, x_shape, w_shape))
+    assert err.value.node_id == "big"
+    validate(_one_int8_conv("depthwise_conv2d", (1, 4, 4, 1025), (3, 3, 1025, 1)))
 
 
 def test_execute_observer_sees_every_node():
@@ -602,4 +619,18 @@ def test_quantized_backend_equals_reference_on_nine_op_graphs(spec, seed):
                QuantParams(1.0 / 255.0, -128))
     want = execute(graph, x, reference.make_kernel_set())
     got = execute(graph, x, quantized.make_kernel_set())
+    assert want.shape == got.shape == graph.output_shape
     assert np.array_equal(got.data, want.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nine_op_graphs(int8=False), st.integers(0, 2**32 - 1))
+def test_optimized_backend_tracks_reference_on_nine_op_graphs(spec, seed):
+    """Within 1e-4 of the largest output."""
+    graph = validate(spec)
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.uniform(0.0, 1.0, size=spec.input_shape).astype(np.float32))
+    want = execute(graph, x, reference.make_kernel_set())
+    got = execute(graph, x, optimized.make_kernel_set())
+    assert want.shape == got.shape == graph.output_shape
+    assert np.abs(got.data - want.data).max() <= 1e-4 * np.abs(want.data).max()

@@ -1,10 +1,12 @@
-"""Every name a library module imports is used, and no private helper is orphaned.
+"""Every name a library module imports is used, no private helper is
+orphaned, and the int8 output stage is written once.
 
 Stdlib-only guards: each module under ``src/inferbench`` is parsed with
 ``ast``.  Every name bound by an import must appear as a name in the
 module's code or be re-exported through ``__all__``.  Every module-level
 function or class whose name starts with ``_`` must be referenced
 somewhere in the package, as a name, an attribute or an import.
+``requantize`` and the int8 cap check have a fixed number of callers.
 """
 
 import ast
@@ -77,3 +79,21 @@ def test_every_private_helper_is_referenced():
                for name, line in sorted(_private_definitions(tree).items())
                if name not in referenced]
     assert not orphans, f"unreferenced private helpers: {', '.join(orphans)}"
+
+
+# The one int8 epilogue calls both; ``validate`` checks the caps too.  A
+# backend that requantizes on its own adds a caller and fails here.
+_CALLERS = {"requantize": 1, "check_q_config": 2}
+
+
+def _calls(tree, name):
+    return sum(isinstance(n, ast.Call)
+               and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+               for n in ast.walk(tree))
+
+
+@pytest.mark.parametrize("name", sorted(_CALLERS))
+def test_the_int8_output_stage_has_one_home(name):
+    calls = sum(_calls(ast.parse(path.read_text(), str(path)), name)
+                for path in MODULES)
+    assert calls == _CALLERS[name]

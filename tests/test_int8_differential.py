@@ -2,9 +2,10 @@
 
 Hypothesis draws small random layers (batch, extents, channels, kernel,
 per-axis strides, padding, zero points over the whole int8 range).  The
-quantized backend must give the reference's int8 codes bit for bit; the
-optimized float conv and depthwise conv must stay within 1e-4 relative of
-the reference.
+quantized backend's int8 accumulators must equal the reference's exactly,
+before the output stage the two share, whose clip could hide a difference;
+the optimized float conv and depthwise conv must stay within 1e-4 relative
+of the reference.
 """
 
 import numpy as np
@@ -17,10 +18,6 @@ from inferbench.tensor import INT8Q, QuantParams, Tensor
 SETTINGS = settings(max_examples=300, deadline=None)
 
 zero_points = st.one_of(st.sampled_from([-128, 127]), st.integers(-128, 127))
-scales = st.floats(1e-3, 1.0)
-# requantization multiplier in_s * w_s / out_s: from outputs that mostly
-# saturate to outputs spread over a few codes
-multipliers = st.floats(1e-5, 0.1)
 kernels_hw = st.one_of(st.just((1, 1)), st.tuples(st.integers(1, 4), st.integers(1, 4)))
 strides = st.tuples(st.integers(1, 3), st.integers(1, 3))
 paddings = st.sampled_from([SAME, VALID])
@@ -55,52 +52,48 @@ def conv_layers(draw, depthwise=False):
     x_shape, w_shape, stride, padding = draw(conv_shapes(depthwise))
     rng = np.random.default_rng(draw(seeds))
     extremes = draw(st.booleans())
-    x_qp = QuantParams(draw(scales), draw(zero_points))
-    w_qp = QuantParams(draw(scales), draw(zero_points))
-    out_qp = QuantParams(x_qp.scale * w_qp.scale / draw(multipliers),
-                         draw(zero_points))
-    x = Tensor(_codes(rng, x_shape, extremes), INT8Q, x_qp)
-    wt = Tensor(_codes(rng, w_shape, extremes), INT8Q, w_qp)
+    # only the zero points reach an accumulator, not the scales
+    x = Tensor(_codes(rng, x_shape, extremes), INT8Q,
+               QuantParams(0.02, draw(zero_points)))
+    wt = Tensor(_codes(rng, w_shape, extremes), INT8Q,
+                QuantParams(0.01, draw(zero_points)))
     channels = w_shape[2] if depthwise else w_shape[3]
     bias = None
     if draw(st.booleans()):
         bias = rng.integers(-(2**20), 2**20, size=channels)
-    return x, wt, bias, stride, padding, out_qp
+    return x, wt, bias, stride, padding
+
+
+def _same_accumulators(kind, layer):
+    want = reference.ACCUMULATORS[kind](*layer)
+    got = quantized.ACCUMULATORS[kind](*layer)
+    assert np.array_equal(got, want)  # equal shapes and exactly equal integers
 
 
 @given(conv_layers())
 @SETTINGS
 def test_qconv2d_matches_reference_bit_for_bit(layer):
-    want = reference.qconv2d(*layer)
-    got = quantized.qconv2d(*layer)
-    assert got.qparams == want.qparams
-    assert np.array_equal(got.data, want.data)
+    _same_accumulators("conv2d", layer)
 
 
 @given(conv_layers(depthwise=True))
 @SETTINGS
 def test_qdepthwise_matches_reference_bit_for_bit(layer):
-    want = reference.qdepthwise_conv2d(*layer)
-    got = quantized.qdepthwise_conv2d(*layer)
-    assert np.array_equal(got.data, want.data)
+    _same_accumulators("depthwise_conv2d", layer)
 
 
 @given(st.integers(1, 2), st.integers(1, 12), st.integers(1, 12), st.integers(1, 8),
-       st.integers(1, 8), zero_points, zero_points, zero_points, multipliers,
-       st.booleans(), st.booleans(), seeds)
+       st.integers(1, 8), zero_points, zero_points, st.booleans(), st.booleans(),
+       seeds)
 @SETTINGS
 def test_qfully_connected_matches_reference_bit_for_bit(
-        n, h, w, c, cols, x_zp, w_zp, out_zp, mult, extremes, with_bias, seed):
+        n, h, w, c, cols, x_zp, w_zp, extremes, with_bias, seed):
     rng = np.random.default_rng(seed)
     x = Tensor(_codes(rng, (n, h, w, c), extremes), INT8Q, QuantParams(0.02, x_zp))
     wt = Tensor(_codes(rng, (1, 1, h * w * c, cols), extremes), INT8Q,
                 QuantParams(0.01, w_zp))
     bias = rng.integers(-(2**20), 2**20, size=cols) if with_bias else None
-    out_qp = QuantParams(0.02 * 0.01 / mult, out_zp)
-    want = reference.qfully_connected(x, wt, bias, out_qp)
-    got = quantized.qfully_connected(x, wt, bias, out_qp)
-    assert got.shape == want.shape
-    assert np.array_equal(got.data, want.data)
+    _same_accumulators("fully_connected", (x, wt, bias))
 
 
 @given(conv_shapes(), seeds)

@@ -109,11 +109,9 @@ def test_integer_gemm_agrees_with_reference_exactly():
 
 # Largest accumulators the config caps allow: every centered input code is
 # 0 - 255 and every centered weight code 255.  The bias cancels all but a
-# few units, so one unit lost anywhere in the accumulation moves an output
-# code (the requantization multiplier is exactly 1).
+# few units, so one unit lost anywhere in the accumulation shows.
 CAP_X_QP = QuantParams(0.5, 127)
 CAP_W_QP = QuantParams(0.5, -128)
-CAP_OUT_QP = QuantParams(0.25, 0)
 
 
 def _cap_operands(x_shape, w_shape):
@@ -125,8 +123,14 @@ def _cap_operands(x_shape, w_shape):
 # K = 259 = 256 + 3: one float32 GEMM chunk at its largest sum,
 # 256 * 255**2 < 2**24, then a partial chunk of 3 rows.  The total,
 # 259 * 255**2, is odd and above 2**24, so no float32 can hold it: a chunk
-# longer than 258 rows, or a dropped partial chunk, moves an output code.
+# longer than 258 rows, or a dropped partial chunk, moves the accumulator.
 SPLIT_K = 259
+
+
+def _accumulated(kind, *args):
+    """The reference's and the quantized backend's accumulator, flat."""
+    return [m.ACCUMULATORS[kind](*args).reshape(-1).tolist()
+            for m in (reference, quantized)]
 
 
 def test_int8_accumulators_exact_at_config_cap():
@@ -137,41 +141,38 @@ def test_int8_accumulators_exact_at_config_cap():
     assert acc == -5_393_433_600  # beyond int32, within float64's 2**53
     for kh, cin, total in ((k, c, acc), (1, SPLIT_K, split_acc)):
         x, w = _cap_operands((1, kh, kh, cin), (kh, kh, cin, 2))
+        reference.check_q_config("conv2d", w.shape)  # the cap itself is allowed
         bias = np.array([-total + 3, -total - 5], dtype=np.int64)
-        for conv in (reference.qconv2d, quantized.qconv2d):
-            got = conv(x, w, bias, (1, 1), VALID, CAP_OUT_QP)
-            assert got.data.reshape(-1).tolist() == [3, -5]
+        assert _accumulated("conv2d", x, w, bias, (1, 1), VALID) == [[3, -5]] * 2
 
     dw_acc = -(255**2) * k * k
     x, w = _cap_operands((1, k, k, 3), (k, k, 3, 1))
+    reference.check_q_config("depthwise_conv2d", w.shape)
     bias = np.array([-dw_acc + 1, -dw_acc + 2, -dw_acc - 4], dtype=np.int64)
-    for dw in (reference.qdepthwise_conv2d, quantized.qdepthwise_conv2d):
-        got = dw(x, w, bias, (1, 1), VALID, CAP_OUT_QP)
-        assert got.data.reshape(-1).tolist() == [1, 2, -4]
+    got = _accumulated("depthwise_conv2d", x, w, bias, (1, 1), VALID)
+    assert got == [[1, 2, -4]] * 2
 
     for rows in (c, SPLIT_K):
         fc_acc = -(255**2) * rows
         x, w = _cap_operands((1, 1, 1, rows), (1, 1, rows, 2))
         bias = np.array([-fc_acc + 5, -fc_acc - 7], dtype=np.int64)
-        for fc in (reference.qfully_connected, quantized.qfully_connected):
-            got = fc(x, w, bias, CAP_OUT_QP)
-            assert got.data.reshape(-1).tolist() == [5, -7]
+        assert _accumulated("fully_connected", x, w, bias) == [[5, -7]] * 2
 
 
-@pytest.mark.parametrize("kernel, x_shape, w_shape", [
-    ("qconv2d", (1, 4, 4, 3), (3, 3, 3, 4)),
-    ("qdepthwise_conv2d", (1, 4, 4, 4), (3, 3, 4, 1)),
-    ("qfully_connected", (1, 1, 1, 4), (1, 1, 4, 4)),
+@pytest.mark.parametrize("kind, x_shape, w_shape", [
+    ("conv2d", (1, 4, 4, 3), (3, 3, 3, 4)),
+    ("depthwise_conv2d", (1, 4, 4, 4), (3, 3, 4, 1)),
+    ("fully_connected", (1, 1, 1, 4), (1, 1, 4, 4)),
 ], ids=["conv", "depthwise", "fc"])
-def test_quantized_kernels_reject_a_bias_of_the_wrong_length(kernel, x_shape, w_shape):
+def test_quantized_kernels_reject_a_bias_of_the_wrong_length(kind, x_shape, w_shape):
     """A 1-element bias on 4 output channels is refused, as the reference does."""
     qp = QuantParams(0.1, 0)
     x = Tensor(np.zeros(x_shape, dtype=np.int8), INT8Q, qp)
     w = Tensor(np.ones(w_shape, dtype=np.int8), INT8Q, qp)
-    geometry = () if kernel == "qfully_connected" else ((1, 1), SAME)
+    geometry = () if kind == "fully_connected" else ((1, 1), SAME)
     for module in (reference, quantized):
         with pytest.raises(ShapeError, match="bias length 1 != channels 4"):
-            getattr(module, kernel)(x, w, np.array([3]), *geometry, qp)
+            module.ACCUMULATORS[kind](x, w, np.array([3]), *geometry)
 
 
 def test_qrelu_clamps_at_zero_point():
@@ -196,8 +197,9 @@ def test_quantized_conv_rejects_oversize_config():
     qp = QuantParams(0.1, 0)
     x = Tensor(np.zeros((1, 12, 12, 1), dtype=np.int8), INT8Q, qp)
     w = Tensor(np.zeros((11, 11, 1, 1), dtype=np.int8), INT8Q, qp)
-    with pytest.raises(QuantizationError):
-        reference.qconv2d(x, w, None, (1, 1), SAME, qp)
+    for kernels in QSETS:
+        with pytest.raises(QuantizationError, match="got 11x11x1"):
+            kernels.apply("conv2d", INT8Q, [x], [w, None], {"out_qp": qp})
 
 
 def test_quantize_bias_uses_accumulator_scale():
