@@ -6,17 +6,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-def im2col(xp, kh, kw, stride, n=slice(None), rows=slice(None)):
+def im2col(xp, kh, kw, stride):
     """Patch matrix of a padded NHWC input, one row per output position.
 
-    ``n`` and ``rows`` pick the batch items and output rows (an index or a
-    slice).  Rows run in (n, oh, ow) order and columns in (kh, kw, C) order,
-    matching an HWIO weight reshaped to (kh * kw * C, Cout).  Only the
-    selected windows are copied; for a stride-1 1x1 conv the window view is
-    the input itself, so the matrix is a reshape with no copy at all.
+    Rows run in (n, oh, ow) order and columns in (kh, kw, C) order, matching
+    an HWIO weight reshaped to (kh * kw * C, Cout).  For a stride-1 1x1 conv
+    on a contiguous input the window view is the input itself, so the matrix
+    is a reshape with no copy at all.
     """
     v = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :: stride[0], :: stride[1]]
-    block = np.ascontiguousarray(np.moveaxis(v[n, rows], -3, -1))
+    block = np.ascontiguousarray(np.moveaxis(v, -3, -1))
     return block.reshape(-1, kh * kw * xp.shape[3])
 
 

@@ -30,19 +30,6 @@ ALLOCATION_FAILURE = "allocation_failure"
 CONFIGURED_CAP = "configured_cap"
 
 
-class SimulatedClock:
-    """Deterministic monotonic clock; time moves only via ``advance``."""
-
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-    def advance(self, dt):
-        self.t += dt
-
-
 @dataclass
 class Measurement:
     test_id: int

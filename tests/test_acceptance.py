@@ -31,7 +31,6 @@ from inferbench.graph import (
 from inferbench.kernels import KernelSet, optimized, quantized, reference
 from inferbench.kernels.shapes import SAME, VALID
 from inferbench.runner import (
-    SimulatedClock,
     load_suite,
     predict_probe_bytes,
     preferred_backend,
@@ -61,6 +60,7 @@ from inferbench.zoo import BUILDERS, WeightStream
 from inferbench import aggregate
 
 import oracles
+from clock import SimulatedClock
 
 
 def _verdict(num, ok, text):

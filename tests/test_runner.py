@@ -9,7 +9,6 @@ from inferbench.runner import (
     CONFIGURED_CAP,
     Measurement,
     MemoryProbeResult,
-    SimulatedClock,
     SuiteConfig,
     SuiteResult,
     _average,
@@ -23,6 +22,8 @@ from inferbench.runner import (
     save_suite,
 )
 from inferbench.workloads import _make_spec
+
+from clock import SimulatedClock
 
 
 class FakeKernels:

@@ -313,6 +313,71 @@ def _frozen_tiled_conv2d(x, w, bias, stride, padding):
     return Tensor(out)
 
 
+def _frozen_kn2row_conv2d(x, w, bias, padding):
+    """The optimized float conv's kn2row path written out: per band of
+    ``_TILE_ELEMS // W`` input rows of one image, one GEMM of the
+    (kh * kw * cout, cin) weight with the band's transposed view, then for
+    each tap (i, j) in row-major order the part of its plane that lands in
+    the output, added to an accumulator that starts at the bias."""
+    from inferbench.kernels.shapes import conv_out_hw, pad_amounts
+    n_img, h, wd, cin = x.shape
+    kh, kw, _, cout = w.shape
+    oh, ow = conv_out_hw((h, wd), (kh, kw), (1, 1), padding)
+    pt = pad_amounts(h, kh, 1, padding)[0]
+    pl = pad_amounts(wd, kw, 1, padding)[0]
+    wt = np.ascontiguousarray(w.data.transpose(0, 1, 3, 2)).reshape(-1, cin)
+    band = max(1, optimized._TILE_ELEMS // wd)
+    out = np.empty((n_img, oh, ow, cout), dtype=np.float32)
+    for n in range(n_img):
+        acc = np.empty((cout, oh, ow), dtype=np.float32)
+        acc[:] = bias.data.reshape(-1, 1, 1)
+        for y0 in range(0, h, band):
+            y1 = min(y0 + band, h)
+            planes = (wt @ x.data[n, y0:y1].reshape(-1, cin).T).reshape(
+                kh, kw, cout, y1 - y0, wd)
+            for i in range(kh):
+                for j in range(kw):
+                    # output (r, c) reads input (r + i - pt, c + j - pl)
+                    rows = [r for r in range(oh) if y0 <= r + i - pt < y1]
+                    cols = [c for c in range(ow) if 0 <= c + j - pl < wd]
+                    if rows and cols:
+                        r0, r1 = rows[0], rows[-1] + 1
+                        c0, c1 = cols[0], cols[-1] + 1
+                        acc[:, r0:r1, c0:c1] += planes[
+                            i, j, :, r0 + i - pt - y0 : r1 + i - pt - y0,
+                            c0 + j - pl : c1 + j - pl]
+        out[n] = acc.transpose(1, 2, 0)
+    return Tensor(out)
+
+
+def _frozen_conv2d(x, w, bias, stride, padding):
+    """The optimized float conv's rule: kn2row for a stride-1 k x k conv
+    with at most a quarter as many output as input channels, else tiled."""
+    kh, kw, cin, cout = w.shape
+    if tuple(stride) == (1, 1) and kh * kw > 1 and 4 * cout <= cin:
+        return _frozen_kn2row_conv2d(x, w, bias, padding)
+    return _frozen_tiled_conv2d(x, w, bias, stride, padding)
+
+
+def _frozen_resize_bilinear(x, out_h, out_w):
+    """Bilinear resize from four gathered corner arrays of the output's size."""
+    h, w = x.shape[1:3]
+    if (out_h, out_w) == (h, w):
+        return Tensor(x.data.copy())
+    sy = np.arange(out_h) * (h / out_h)
+    sx = np.arange(out_w) * (w / out_w)
+    y0 = np.minimum(np.floor(sy).astype(np.int64), h - 1)
+    x0 = np.minimum(np.floor(sx).astype(np.int64), w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (sy - y0).astype(np.float32)[None, :, None, None]
+    fx = (sx - x0).astype(np.float32)[None, None, :, None]
+    d = x.data
+    top = d[:, y0][:, :, x0] * (1 - fx) + d[:, y0][:, :, x1] * fx
+    bot = d[:, y1][:, :, x0] * (1 - fx) + d[:, y1][:, :, x1] * fx
+    return Tensor(top * (1 - fy) + bot * fy)
+
+
 def _node_digests(graph, x, kernels):
     digests = {}
 
@@ -324,13 +389,16 @@ def _node_digests(graph, x, kernels):
 
 
 def test_optimized_float_nodes_keep_their_bits():
-    """Every node of the nine float networks gives the frozen tiled conv's
-    bits, so test 1's calibrated ranges and output codes cannot move."""
+    """Every node of the nine float networks gives the frozen conv's and
+    resize's bits, so test 1's calibrated ranges and output codes cannot
+    move."""
     kernels = optimized.make_kernel_set()
     frozen = KernelSet("frozen", {
         **kernels.ops,
-        ("conv2d", FLOAT32): lambda i, w, a: _frozen_tiled_conv2d(
+        ("conv2d", FLOAT32): lambda i, w, a: _frozen_conv2d(
             *OPS["conv2d"].args(i, w, a)),
+        ("resize_bilinear", FLOAT32): lambda i, w, a: _frozen_resize_bilinear(
+            *OPS["resize_bilinear"].args(i, w, a)),
     })
     for t in range(1, 10):
         spec = _make_spec(t, 0.25, DEFAULT_SEED)
